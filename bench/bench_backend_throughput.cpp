@@ -33,7 +33,6 @@
 #include "analysis/checker.hpp"
 #include "bench_util.hpp"
 #include "core/concurrent_store.hpp"
-#include "core/version_engine.hpp"
 #include "driver.hpp"
 #include "runtime/concurrent.hpp"
 #include "workloads/binary_tree.hpp"
@@ -171,14 +170,10 @@ std::vector<ScriptOp> make_script(const ConcMix& m, int total_ops,
 
 /// Run one (mix, threads) cell: partition the script round-robin, one
 /// long-lived task per worker, validate every load, and reduce the final
-/// state to a worker-count-independent checksum. `batched` switches each
-/// worker from per-op virtual calls to one VersionEngine::execute() batch
-/// over the facade op records (lowered outside the timed section); the two
-/// call styles must agree on every observable, which the section's paired
-/// cells check.
+/// state to a worker-count-independent checksum.
 CellResult run_concurrent_cell(const std::vector<ScriptOp>& script,
                                std::size_t nslots, int threads,
-                               const bench::Options& opt, bool batched) {
+                               const bench::Options& opt) {
   const int check_mode = opt.check_mode;
   ConcurrencyConfig cfg;
   // A reader can legally park until a much-later script position's store
@@ -222,66 +217,7 @@ CellResult run_concurrent_cell(const std::vector<ScriptOp>& script,
     retry.max_retries = 64;
     pool.set_retry_policy(retry);
   }
-  // Batched mode: lower each worker's partition to facade op records up
-  // front, so the timed section measures execute() dispatch, not lowering.
-  struct WorkerBatch {
-    std::vector<VersionEngine::Op> ops;
-    /// (version, slot) per load, in batch order, for read validation.
-    std::vector<std::pair<Ver, std::uint64_t>> expect;
-  };
-  std::vector<WorkerBatch> batches;
-  if (batched) {
-    batches.resize(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      WorkerBatch& wb = batches[static_cast<std::size_t>(t)];
-      for (std::size_t j = static_cast<std::size_t>(t); j < script.size();
-           j += static_cast<std::size_t>(threads)) {
-        const ScriptOp& op = script[j];
-        VersionEngine::Op o;
-        o.addr = base + 8 * op.slot;
-        if (op.store_version != 0) {
-          o.op = OpCode::kStoreVersion;
-          o.version = op.store_version;
-          o.data = slot_data(op.store_version, op.slot);
-        } else {
-          o.op = OpCode::kLoadVersion;
-          o.version = op.read_version;
-          wb.expect.emplace_back(op.read_version, op.slot);
-        }
-        wb.ops.push_back(o);
-      }
-    }
-  }
   for (int t = 0; t < threads; ++t) {
-    if (batched) {
-      pool.create_task(
-          static_cast<TaskId>(t + 1), [&batches, &store, t](TaskId) {
-            const WorkerBatch& wb = batches[static_cast<std::size_t>(t)];
-            VersionEngine::Results res;
-            store.execute(wb.ops, res);
-            if (!res.faults.empty()) {
-              // Surface the first fault to the pool's retry machinery; the
-              // rollback + re-execution replays the whole batch, so the
-              // final state stays script-determined.
-              throw OFault(res.faults.front().kind,
-                           res.faults.front().message);
-            }
-            if (res.reads.size() != wb.expect.size()) {
-              throw std::runtime_error("batched execute lost reads");
-            }
-            for (std::size_t i = 0; i < res.reads.size(); ++i) {
-              if (res.reads[i] !=
-                  slot_data(wb.expect[i].first, wb.expect[i].second)) {
-                throw std::runtime_error(
-                    "torn read: slot " +
-                    std::to_string(wb.expect[i].second) + " version " +
-                    std::to_string(wb.expect[i].first) +
-                    " returned inconsistent data");
-              }
-            }
-          });
-      continue;
-    }
     pool.create_task(static_cast<TaskId>(t + 1),
                      [&script, &store, base, threads, t](TaskId) {
                        for (std::size_t j = static_cast<std::size_t>(t);
@@ -394,27 +330,14 @@ int run_concurrent_section(const bench::Options& opt) {
     const int total_ops = opt.scale.ops(m.base_ops);
     const std::vector<ScriptOp> script = make_script(m, total_ops, kSlots);
     std::vector<std::size_t> handles;
-    std::vector<std::size_t> batched_handles;
     for (int threads : thread_counts) {
       handles.push_back(driver.add(
           std::string(m.name) + "/t" + std::to_string(threads),
           [&script, threads, &opt] {
-            return run_concurrent_cell(script, kSlots, threads, opt,
-                                       /*batched=*/false);
+            return run_concurrent_cell(script, kSlots, threads, opt);
           }));
       // One cell at a time: a scaling measurement must not share the host
       // with a sibling cell's workers.
-      driver.run_all();
-      // Paired cell: the identical partition through one
-      // VersionEngine::execute() batch per worker. Must agree on every
-      // observable with the per-op cell; the throughput ratio below is the
-      // batching-overhead measurement.
-      batched_handles.push_back(driver.add(
-          std::string(m.name) + "/t" + std::to_string(threads) + "/batched",
-          [&script, threads, &opt] {
-            return run_concurrent_cell(script, kSlots, threads, opt,
-                                       /*batched=*/true);
-          }));
       driver.run_all();
     }
 
@@ -443,36 +366,6 @@ int run_concurrent_section(const bench::Options& opt) {
     driver.check(std::string(m.name) +
                      ": final state identical across thread counts",
                  all_match);
-
-    // Batched execute() vs per-op virtual calls, same partitions.
-    rule(4, 15);
-    row({std::string(m.name) + " thr", "per-op ops/s", "batched ops/s",
-         "batched/per-op"},
-        15);
-    rule(4, 15);
-    bool batched_match = true;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      const CellResult& po = driver.result(handles[i]);
-      const CellResult& ba = driver.result(batched_handles[i]);
-      batched_match = batched_match && ba.checksum == po.checksum;
-      const double po_tput =
-          po.work_seconds > 0
-              ? static_cast<double>(po.ops) / po.work_seconds
-              : 0.0;
-      const double ba_tput =
-          ba.work_seconds > 0
-              ? static_cast<double>(ba.ops) / ba.work_seconds
-              : 0.0;
-      row({"t=" + std::to_string(po.conc_threads), fmt(po_tput, 0),
-           fmt(ba_tput, 0),
-           fmt(po_tput > 0 ? ba_tput / po_tput : 0.0, 2) + "x"},
-          15);
-    }
-    rule(4, 15);
-    std::printf("\n");
-    driver.check(std::string(m.name) +
-                     ": batched execute() matches per-op final state",
-                 batched_match);
   }
   return driver.finish();
 }

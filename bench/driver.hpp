@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/types.hpp"
 #include "json.hpp"
-#include "sim/types.hpp"
 
 namespace osim::analysis {
 class Checker;

@@ -29,13 +29,14 @@ int main() {
     c.num_cores = cores;
     Env env(c);
     const RunResult r = levenshtein_versioned(env, spec, cores);
-    const auto& t = env.stats().total();
+    const std::uint64_t stalls =
+        env.metrics().total(telemetry::Component::kOsm, "stalls");
     std::printf(
         "versioned, %2d cores:   %9llu cycles  (vs unversioned %.2fx)  "
         "stalls %llu  output %s\n",
         cores, static_cast<unsigned long long>(r.cycles),
         static_cast<double>(seq.cycles) / r.cycles,
-        static_cast<unsigned long long>(t.stalls),
+        static_cast<unsigned long long>(stalls),
         r.checksum == seq.checksum ? "matches" : "MISMATCH");
   }
 

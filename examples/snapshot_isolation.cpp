@@ -84,10 +84,11 @@ int main() {
               static_cast<unsigned long long>(cycles));
   std::printf("every scan saw a consistent snapshot: %s\n",
               ok ? "yes" : "NO — torn read!");
-  const auto& t = env.stats().total();
+  const auto osm = [&env](const char* name) {
+    return static_cast<unsigned long long>(
+        env.metrics().total(telemetry::Component::kOsm, name));
+  };
   std::printf("versioned ops: %llu (direct hits %llu, stalls %llu)\n",
-              static_cast<unsigned long long>(t.versioned_ops),
-              static_cast<unsigned long long>(t.direct_hits),
-              static_cast<unsigned long long>(t.stalls));
+              osm("versioned_ops"), osm("direct_hits"), osm("stalls"));
   return ok ? 0 : 1;
 }

@@ -1,17 +1,9 @@
-// The versioned instruction set surface (paper Sec. II-A).
-//
-// Tracing moved to src/telemetry/trace.hpp: the O-structure manager owns a
-// telemetry::Tracer and emits typed events (ISA ops plus the version
-// lifecycle) to pluggable sinks. When OStructConfig::trace_capacity > 0 the
-// manager keeps the classic ring of the last N versioned operations — the
-// first tool one reaches for when a pipelined workload deadlocks or
-// misorders. Zero-cost when disabled.
+// The versioned instruction set surface (paper Sec. II-A). Issued ops are
+// traced as telemetry::EventType::kIsaOp events (telemetry/trace.hpp).
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-
-#include "telemetry/trace.hpp"
 
 namespace osim {
 
@@ -51,13 +43,5 @@ inline const char* to_string(OpCode op) {
   assert(!"to_string: unknown OpCode");
   return "?";
 }
-
-/// Compatibility aliases for the pre-telemetry trace API. TraceEvent
-/// carries the old fields under the same names (time, core, op, addr,
-/// version) plus the event type and a lifecycle argument; RingSink is the
-/// old ring with an added event-type mask.
-using TraceRecord [[deprecated("use telemetry::TraceEvent")]] =
-    telemetry::TraceEvent;
-using OpTrace [[deprecated("use telemetry::RingSink")]] = telemetry::RingSink;
 
 }  // namespace osim

@@ -25,30 +25,9 @@ std::uint64_t VersionEngine::Results::checksum() const {
   return mix(h, executed);
 }
 
-void VersionEngine::execute(std::span<const Op> batch, Results& out) {
-  // One up-front reservation instead of growth doublings mid-batch: the
-  // reads vector is the hot observable (every load appends), and a realloc
-  // inside the loop is pure batching overhead the per-op style never pays.
-  std::size_t nreads = 0, nfound = 0;
-  for (const Op& o : batch) {
-    switch (o.op) {
-      case OpCode::kLoadVersion:
-      case OpCode::kLockLoadVersion:
-        ++nreads;
-        break;
-      case OpCode::kLoadLatest:
-      case OpCode::kLockLoadLatest:
-        ++nreads;
-        ++nfound;
-        break;
-      default:
-        break;
-    }
-  }
-  out.reads.reserve(out.reads.size() + nreads);
-  out.found.reserve(out.found.size() + nfound);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Op& o = batch[i];
+void VersionEngine::execute(std::span<const Op> ops, Results& out) {
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op& o = ops[i];
     try {
       switch (o.op) {
         case OpCode::kLoadVersion:

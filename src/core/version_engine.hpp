@@ -9,17 +9,14 @@
 // threads). Everything *around* that core — the ISA surface, task
 // lifecycle, abort accounting, fault injection, trace emission, protocol
 // checking — is shared semantics, and this interface is where consumers
-// (bench driver, chaos harness, differential tests, the future KV front
-// end) bind to it without knowing which engine they drive.
+// (bench driver, chaos harness, differential tests) bind to it without
+// knowing which engine they drive.
 //
-// Two call styles:
-//   * per-op virtuals — the classic ISA surface, one virtual call per op;
-//   * execute(batch) — a batched driver over the same virtuals taking the
-//     opstream record the workload generators already emit (analysis::VOp
-//     is an alias of VersionEngine::Op). Faults are captured per op into
-//     Results and execution continues, which is exactly what the
-//     differential tests and retrying drivers want; the KV front end's
-//     get/put/snapshot-read/CAS map 1:1 onto these batches.
+// execute() is a test driver, not a fast path: it runs an op stream (the
+// record the workload generators emit; analysis::VOp aliases
+// VersionEngine::Op) through the per-op virtuals, catching each op's fault
+// into Results and continuing. The conformance matrix and the differential
+// tests run every engine through it and compare the Results.
 //
 // Layering (enforced by tools/run-lint.sh): core/ depends on telemetry/
 // and itself only — never on runtime/, sim/, bench/, or analysis/. The
@@ -71,12 +68,12 @@ struct RecoveryStats {
 
 class VersionEngine {
  public:
-  /// One abstract versioned op — the batched-execution record and the
-  /// opstream record the workload generators emit (analysis::VOp aliases
-  /// this type). `version` is the exact version stored, loaded, or locked
-  /// (the task id for TASK-BEGIN/END); `cap` is the bound of the *-LATEST
-  /// forms; `rename_to` is UNLOCK-VERSION's optional new version; `data`
-  /// is STORE-VERSION's payload (ignored by the static checker).
+  /// One abstract versioned op — the record execute() runs and the
+  /// workload generators emit (analysis::VOp aliases this type). `version`
+  /// is the exact version stored, loaded, or locked (the task id for
+  /// TASK-BEGIN/END); `cap` is the bound of the *-LATEST forms; `rename_to`
+  /// is UNLOCK-VERSION's optional new version; `data` is STORE-VERSION's
+  /// payload (ignored by the static checker).
   struct Op {
     OpCode op{};
     Addr addr = 0;
@@ -87,13 +84,13 @@ class VersionEngine {
     std::uint64_t data = 0;
   };
 
-  /// Observable outcome of an executed batch. Two batches are equivalent
+  /// Observable outcome of an executed op stream. Two runs are equivalent
   /// iff their Results compare equal field-for-field (messages excepted:
   /// the engines word their would-block reports differently, so equality
   /// compares fault positions and kinds only).
   struct Results {
     struct Fault {
-      std::size_t index = 0;  ///< batch index of the faulted op
+      std::size_t index = 0;  ///< stream index of the faulted op
       FaultKind kind{};
       std::string message;  ///< engine wording; excluded from operator==
 
@@ -104,7 +101,7 @@ class VersionEngine {
 
     std::vector<std::uint64_t> reads;  ///< one value per completed load
     std::vector<Ver> found;            ///< version observed per *-LATEST
-    std::vector<Fault> faults;         ///< per-op faults, batch order
+    std::vector<Fault> faults;         ///< per-op faults, stream order
     std::uint64_t executed = 0;        ///< ops completed without fault
 
     void clear() {
@@ -114,8 +111,8 @@ class VersionEngine {
       executed = 0;
     }
 
-    /// Order-sensitive fold of every observable (for cross-engine and
-    /// per-op-vs-batched checksum comparisons).
+    /// Order-sensitive fold of every observable (for cross-engine
+    /// checksum comparisons).
     std::uint64_t checksum() const;
 
     friend bool operator==(const Results& a, const Results& b) {
@@ -176,14 +173,13 @@ class VersionEngine {
   /// config-built one at every engine site. Call before ISA ops run.
   virtual void attach_fault_injector(FaultInjector* inj) = 0;
 
-  // ---- Batched op execution ----
-  /// Execute `batch` in order through the per-op surface. An OFault fails
+  // ---- Op-stream execution (test driver) ----
+  /// Execute `ops` in order through the per-op surface. An OFault fails
   /// only the op that raised it — it is recorded in `out.faults` and
-  /// execution continues with the next op, matching the per-op call sites
-  /// that catch-and-continue today. Results are appended (call
-  /// out.clear() for a fresh batch). Non-virtual: the loop *is* the
-  /// facade contract, identical over every engine.
-  void execute(std::span<const Op> batch, Results& out);
+  /// execution continues with the next op. Results are appended (call
+  /// out.clear() for a fresh run). Non-virtual: the loop *is* the facade
+  /// contract, identical over every engine.
+  void execute(std::span<const Op> ops, Results& out);
 };
 
 }  // namespace osim

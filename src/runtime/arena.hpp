@@ -25,7 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/types.hpp"
+#include "core/types.hpp"
 
 namespace osim {
 

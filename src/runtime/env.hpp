@@ -25,10 +25,10 @@
 #include <utility>
 
 #include "analysis/checker.hpp"
+#include "core/flat_map.hpp"
 #include "core/ostructure_manager.hpp"
 #include "runtime/arena.hpp"
 #include "runtime/functional.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/machine.hpp"
 
 namespace osim {
@@ -85,8 +85,6 @@ class Env {
   /// The online protocol checker, when OStructConfig::check_mode enabled
   /// one for this backend; nullptr otherwise.
   analysis::Checker* checker() { return checker_; }
-  /// Snapshot of the legacy aggregate view (built from the registry).
-  MachineStats stats() const { return stats_snapshot(metrics()); }
   telemetry::MetricRegistry& metrics() {
     return m_ != nullptr ? m_->metrics() : fb_->metrics();
   }

@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/types.hpp"
 #include "sim/config.hpp"
-#include "sim/types.hpp"
 
 namespace osim {
 

@@ -25,11 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "core/types.hpp"
 #include "sim/config.hpp"
 #include "sim/fiber.hpp"
 #include "sim/memory_system.hpp"
-#include "sim/stats.hpp"
-#include "sim/types.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace osim {
@@ -111,9 +110,6 @@ class Machine {
   /// here at construction; tools read or dump it after a run.
   telemetry::MetricRegistry& metrics() { return registry_; }
   const telemetry::MetricRegistry& metrics() const { return registry_; }
-  /// DEPRECATED compatibility view: a by-value snapshot of the registry in
-  /// the pre-telemetry struct layout. Mutating it has no effect.
-  MachineStats stats() const { return stats_snapshot(registry_); }
   const MachineConfig& config() const { return cfg_; }
   /// Completion time: max over cores of their finish clock.
   Cycles elapsed() const { return elapsed_; }

@@ -17,10 +17,10 @@
 #include <functional>
 #include <vector>
 
+#include "core/flat_map.hpp"
+#include "core/types.hpp"
 #include "sim/cache.hpp"
 #include "sim/config.hpp"
-#include "sim/flat_map.hpp"
-#include "sim/types.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace osim {

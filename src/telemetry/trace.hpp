@@ -64,9 +64,8 @@ inline constexpr EventMask kAllEvents =
     (EventMask{1} << kNumEventTypes) - 1;
 
 /// One trace event. For kIsaOp events `op` identifies the instruction and
-/// `version` its version/cap/task argument (the original TraceRecord
-/// layout); lifecycle events use `version` and `arg` as documented on
-/// EventType.
+/// `version` its version/cap/task argument; lifecycle events use `version`
+/// and `arg` as documented on EventType.
 struct TraceEvent {
   Cycles time = 0;
   CoreId core = 0;

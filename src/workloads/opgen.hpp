@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/types.hpp"
+#include "core/types.hpp"
 
 namespace osim {
 

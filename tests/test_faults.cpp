@@ -14,6 +14,8 @@
 namespace osim {
 namespace {
 
+using telemetry::Component;
+
 MachineConfig cfg(int cores) {
   MachineConfig c;
   c.num_cores = cores;
@@ -118,8 +120,9 @@ TEST(EdgeCases, HugeVersionNumbersWork) {
     for (int i = 0; i < 4; ++i) o.load_version(a, big1);
   });
   m.run();
-  EXPECT_EQ(m.stats().core[0].direct_hits, 0u);  // uncompressible
-  EXPECT_GT(m.stats().compress_overflows, 0u);
+  // Uncompressible: every load is a full lookup.
+  EXPECT_EQ(m.metrics().value(Component::kOsm, "direct_hits", 0), 0u);
+  EXPECT_GT(m.metrics().total(Component::kOsm, "compress_overflows"), 0u);
 }
 
 TEST(EdgeCases, VersionZeroIsValid) {
@@ -211,7 +214,7 @@ TEST(EdgeCases, UnversionedMachineRunsWithZeroPoolPressure) {
     for (int i = 0; i < 100; ++i) env.ld(x);
   });
   env.run();
-  EXPECT_EQ(env.stats().blocks_allocated, 0u);
+  EXPECT_EQ(env.metrics().total(Component::kOsm, "blocks_allocated"), 0u);
   EXPECT_EQ(x, 99);
 }
 

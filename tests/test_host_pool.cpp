@@ -54,9 +54,11 @@ std::vector<CellOut> run_grid(int threads) {
       cfg.num_cores = 8;
       Env env(cfg);
       const RunResult r = bodies[i](env);
-      const CoreStats total = env.stats().total();
-      out[i] = {r.cycles, r.checksum, total.l1_hits, total.l2_misses,
-                env.metrics().dump_str()};
+      const telemetry::MetricRegistry& reg = env.metrics();
+      out[i] = {r.cycles, r.checksum,
+                reg.total(telemetry::Component::kCache, "l1_hits"),
+                reg.total(telemetry::Component::kCache, "l2_misses"),
+                reg.dump_str()};
     });
   }
   HostPool(threads).run(std::move(jobs));
@@ -73,7 +75,7 @@ TEST(HostPool, ParallelResultsBitIdenticalToSerial) {
       EXPECT_EQ(serial[i].checksum, par[i].checksum) << "cell " << i;
       EXPECT_EQ(serial[i].l1_hits, par[i].l1_hits) << "cell " << i;
       EXPECT_EQ(serial[i].l2_misses, par[i].l2_misses) << "cell " << i;
-      // Every metric — not just the legacy stats fields — must be
+      // Every metric — not just the two cache counters above — must be
       // byte-identical regardless of host threading.
       EXPECT_EQ(serial[i].metrics_dump, par[i].metrics_dump) << "cell " << i;
     }

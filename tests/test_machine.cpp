@@ -10,6 +10,8 @@
 namespace osim {
 namespace {
 
+using telemetry::Component;
+
 MachineConfig cfg(int cores) {
   MachineConfig c;
   c.num_cores = cores;
@@ -27,7 +29,7 @@ TEST(Machine, SingleCoreRunsToCompletion) {
   EXPECT_EQ(x, 7);
   // 10 instructions on a 2-wide core = 5 cycles.
   EXPECT_EQ(m.elapsed(), 5u);
-  EXPECT_EQ(m.stats().core[0].instructions, 10u);
+  EXPECT_EQ(m.metrics().value(Component::kCore, "instructions", 0), 10u);
 }
 
 TEST(Machine, ExecRoundsUpToIssueWidth) {
@@ -70,7 +72,7 @@ TEST(Machine, MemoryEventsProcessedInGlobalTimeOrder) {
   EXPECT_EQ(order[0], 0);
   EXPECT_EQ(order[1], 1);
   // Core 1's miss found the line modified in core 0's L1.
-  EXPECT_EQ(m.stats().core[1].remote_l1_fills, 1u);
+  EXPECT_EQ(m.metrics().value(Component::kCache, "remote_l1_fills", 1), 1u);
 }
 
 TEST(Machine, TieBreaksByCoreId) {
@@ -106,7 +108,7 @@ TEST(Machine, BlockAndWake) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   // Woken core resumes at waker time + latency.
   EXPECT_GE(m.elapsed(), 508u);
-  EXPECT_GE(m.stats().core[0].stall_cycles, 500u);
+  EXPECT_GE(m.metrics().value(Component::kCore, "stall_cycles", 0), 500u);
 }
 
 TEST(Machine, WakeAllWakesEveryWaiter) {
@@ -229,7 +231,8 @@ TEST(Machine, SharedCounterInterleavingIsTimestampOrdered) {
   m.run();
   EXPECT_EQ(counter, 200);
   // Writes ping-pong the line: both cores must see remote fills/upgrades.
-  EXPECT_GT(m.stats().core[0].remote_l1_fills + m.stats().core[0].upgrades,
+  EXPECT_GT(m.metrics().value(Component::kCache, "remote_l1_fills", 0) +
+                m.metrics().value(Component::kCache, "upgrades", 0),
             0u);
 }
 

@@ -6,8 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/address_map.hpp"
-#include "sim/stats.hpp"
+#include "core/address_map.hpp"
 
 namespace osim {
 namespace {
@@ -20,8 +19,10 @@ MachineConfig cfg(int cores) {
 
 struct Fixture {
   explicit Fixture(int cores) : c(cfg(cores)), reg(cores), ms(c, reg) {}
-  /// Legacy aggregate view, rebuilt from the registry on each call.
-  MachineStats stats() const { return stats_snapshot(reg); }
+  /// Per-core cache counter `name` of `core`, read from the registry.
+  std::uint64_t cache(const char* name, CoreId core) const {
+    return reg.value(telemetry::Component::kCache, name, core);
+  }
   MachineConfig c;
   telemetry::MetricRegistry reg;
   MemorySystem ms;
@@ -32,8 +33,8 @@ TEST(MemorySystem, ColdMissGoesToDram) {
   const Cycles lat = f.ms.access(0, 0x1000, AccessType::kRead);
   // probe + L2 miss + DRAM
   EXPECT_EQ(lat, f.c.l1.hit_latency + f.c.l2_hit_latency + f.c.dram_latency);
-  EXPECT_EQ(f.stats().core[0].l1_misses, 1u);
-  EXPECT_EQ(f.stats().core[0].l2_misses, 1u);
+  EXPECT_EQ(f.cache("l1_misses", 0), 1u);
+  EXPECT_EQ(f.cache("l2_misses", 0), 1u);
 }
 
 TEST(MemorySystem, SecondAccessHitsL1) {
@@ -41,7 +42,7 @@ TEST(MemorySystem, SecondAccessHitsL1) {
   f.ms.access(0, 0x1000, AccessType::kRead);
   const Cycles lat = f.ms.access(0, 0x1008, AccessType::kRead);  // same line
   EXPECT_EQ(lat, f.c.l1.hit_latency);
-  EXPECT_EQ(f.stats().core[0].l1_hits, 1u);
+  EXPECT_EQ(f.cache("l1_hits", 0), 1u);
 }
 
 TEST(MemorySystem, L1EvictionStillHitsL2) {
@@ -55,7 +56,7 @@ TEST(MemorySystem, L1EvictionStillHitsL2) {
   EXPECT_FALSE(f.ms.line_in_l1(0, 0x0));
   const Cycles lat = f.ms.access(0, 0x0, AccessType::kRead);
   EXPECT_EQ(lat, f.c.l1.hit_latency + f.c.l2_hit_latency);
-  EXPECT_GE(f.stats().core[0].l2_hits, 1u);
+  EXPECT_GE(f.cache("l2_hits", 0), 1u);
 }
 
 TEST(MemorySystem, ReadSharingAcrossCores) {
@@ -74,7 +75,7 @@ TEST(MemorySystem, WriteInvalidatesOtherSharers) {
   EXPECT_EQ(lat, f.c.l1.hit_latency + f.c.invalidate_latency);
   EXPECT_TRUE(f.ms.line_in_l1(0, 0x2000));
   EXPECT_FALSE(f.ms.line_in_l1(1, 0x2000));
-  EXPECT_EQ(f.stats().core[0].upgrades, 1u);
+  EXPECT_EQ(f.cache("upgrades", 0), 1u);
 }
 
 TEST(MemorySystem, RemoteDirtyLineForwarded) {
@@ -82,7 +83,7 @@ TEST(MemorySystem, RemoteDirtyLineForwarded) {
   f.ms.access(0, 0x3000, AccessType::kWrite);  // core 0 owns modified
   const Cycles lat = f.ms.access(1, 0x3000, AccessType::kRead);
   EXPECT_EQ(lat, f.c.l1.hit_latency + f.c.remote_l1_latency);
-  EXPECT_EQ(f.stats().core[1].remote_l1_fills, 1u);
+  EXPECT_EQ(f.cache("remote_l1_fills", 1), 1u);
   // Both have it shared now; a write by core 1 upgrades and invalidates 0.
   f.ms.access(1, 0x3000, AccessType::kWrite);
   EXPECT_FALSE(f.ms.line_in_l1(0, 0x3000));

@@ -16,6 +16,8 @@
 namespace osim {
 namespace {
 
+using telemetry::Component;
+
 MachineConfig cfg(int cores) {
   MachineConfig c;
   c.num_cores = cores;
@@ -96,7 +98,7 @@ TEST(OStructure, LoadOfUncreatedVersionBlocksUntilStore) {
   m.run();
   EXPECT_EQ(got, 77u);
   EXPECT_GT(load_done, 5000u);
-  EXPECT_EQ(m.stats().core[0].stalls, 1u);
+  EXPECT_EQ(m.metrics().value(Component::kOsm, "stalls", 0), 1u);
 }
 
 TEST(OStructure, LoadLatestBlocksWhenNothingBelowCap) {
@@ -152,7 +154,7 @@ TEST(OStructure, LockLoadVersionExcludesSecondLocker) {
   });
   m.run();
   EXPECT_GT(locker2_done, 10000u);  // waited for core 0's unlock
-  EXPECT_EQ(m.stats().core[1].stalls, 1u);
+  EXPECT_EQ(m.metrics().value(Component::kOsm, "stalls", 1), 1u);
 }
 
 TEST(OStructure, LoadVersionIgnoresLocksOnOtherVersions) {
@@ -300,9 +302,9 @@ TEST(OStructure, ReleaseConvertsBackToConventional) {
     o.store_version(a + 8, 1, 20);
   });
   m.run();
-  EXPECT_EQ(m.stats().blocks_allocated, 2u);
+  EXPECT_EQ(m.metrics().total(Component::kOsm, "blocks_allocated"), 2u);
   o.release(a, 4);
-  EXPECT_EQ(m.stats().blocks_freed, 2u);
+  EXPECT_EQ(m.metrics().total(Component::kOsm, "blocks_freed"), 2u);
   EXPECT_FALSE(o.is_versioned_addr(a));
   o.check_conventional(a);  // no fault once released
   // Slots are recycled for the next same-size allocation.
@@ -321,11 +323,10 @@ TEST(OStructure, RepeatedLoadsHitCompressedLine) {
     for (int i = 0; i < 10; ++i) EXPECT_EQ(o.load_version(a, 1), 10u);
   });
   m.run();
-  const CoreStats cs = m.stats().core[0];
   // The first load walks and installs the entry; the rest hit directly.
-  EXPECT_GE(cs.direct_hits, 9u);
-  EXPECT_LE(cs.full_lookups, 1u);
-  EXPECT_GT(m.stats().compressed_installs, 0u);
+  EXPECT_GE(m.metrics().value(Component::kOsm, "direct_hits", 0), 9u);
+  EXPECT_LE(m.metrics().value(Component::kOsm, "full_lookups", 0), 1u);
+  EXPECT_GT(m.metrics().total(Component::kOsm, "compressed_installs"), 0u);
 }
 
 TEST(OStructure, SingleVersionSlotStaysUncompressed) {
@@ -345,7 +346,7 @@ TEST(OStructure, SingleVersionSlotStaysUncompressed) {
     EXPECT_GE(first, m.config().l1.hit_latency);
   });
   m.run();
-  EXPECT_EQ(m.stats().compressed_installs, 0u);
+  EXPECT_EQ(m.metrics().total(Component::kOsm, "compressed_installs"), 0u);
 }
 
 TEST(OStructure, LoadLatestDirectHitsViaAdjacency) {
@@ -359,8 +360,7 @@ TEST(OStructure, LoadLatestDirectHitsViaAdjacency) {
     for (int i = 0; i < 5; ++i) EXPECT_EQ(o.load_latest(a, 2), 2u);
   });
   m.run();
-  const CoreStats cs = m.stats().core[0];
-  EXPECT_GE(cs.direct_hits, 4u);
+  EXPECT_GE(m.metrics().value(Component::kOsm, "direct_hits", 0), 4u);
 }
 
 TEST(OStructure, RemoteStoreDiscardsCompressedLine) {
@@ -379,7 +379,7 @@ TEST(OStructure, RemoteStoreDiscardsCompressedLine) {
     o.store_version(a, 3, 30);
   });
   m.run();
-  EXPECT_GT(m.stats().compressed_discards, 0u);
+  EXPECT_GT(m.metrics().total(Component::kOsm, "compressed_discards"), 0u);
 }
 
 TEST(OStructure, WalkChargesScaleWithListLength) {
@@ -393,7 +393,7 @@ TEST(OStructure, WalkChargesScaleWithListLength) {
     EXPECT_EQ(o.load_version(a, 1), 1u);  // full walk of 64 blocks
   });
   m.run();
-  EXPECT_GE(m.stats().core[0].walk_blocks, 64u);
+  EXPECT_GE(m.metrics().value(Component::kOsm, "walk_blocks", 0), 64u);
 }
 
 TEST(OStructure, GcReclaimsShadowedVersionsEndToEnd) {
@@ -413,9 +413,9 @@ TEST(OStructure, GcReclaimsShadowedVersionsEndToEnd) {
     }
   });
   m.run();
-  EXPECT_GT(m.stats().gc_phases, 0u);
-  EXPECT_GT(m.stats().blocks_freed, 0u);
-  EXPECT_EQ(m.stats().os_traps, 0u);
+  EXPECT_GT(m.metrics().total(Component::kGc, "phases"), 0u);
+  EXPECT_GT(m.metrics().total(Component::kOsm, "blocks_freed"), 0u);
+  EXPECT_EQ(m.metrics().total(Component::kOsm, "os_traps"), 0u);
   EXPECT_EQ(o.pool().size(), 64u);  // watermarked GC avoided any growth
 }
 
@@ -434,7 +434,7 @@ TEST(OStructure, ExhaustionWithoutGcTrapsToOs) {
     o.task_end(1);
   });
   m.run();
-  EXPECT_GT(m.stats().os_traps, 0u);
+  EXPECT_GT(m.metrics().total(Component::kOsm, "os_traps"), 0u);
   EXPECT_GT(o.pool().size(), 16u);
 }
 
@@ -492,8 +492,8 @@ TEST(OStructure, RootFlagFeedsRootStallStats) {
     o.store_version(a, 1, 42);
   });
   m.run();
-  EXPECT_EQ(m.stats().core[0].root_loads, 1u);
-  EXPECT_EQ(m.stats().core[0].root_stalls, 1u);
+  EXPECT_EQ(m.metrics().value(Component::kOsm, "root_loads", 0), 1u);
+  EXPECT_EQ(m.metrics().value(Component::kOsm, "root_stalls", 0), 1u);
 }
 
 TEST(OStructure, DeadlockOnNeverStoredVersionReported) {
@@ -527,7 +527,7 @@ TEST(OStructure, RepeatedLockUnlockHitsCompressedLine) {
     }
   });
   m.run();
-  EXPECT_GE(m.stats().core[0].direct_hits, 8u);
+  EXPECT_GE(m.metrics().value(Component::kOsm, "direct_hits", 0), 8u);
 }
 
 TEST(OStructure, ConcurrentAllocationAndStoresAreSafe) {

@@ -13,6 +13,8 @@
 namespace osim {
 namespace {
 
+using telemetry::Component;
+
 MachineConfig cfg(int cores) {
   MachineConfig c;
   c.num_cores = cores;
@@ -28,8 +30,8 @@ TEST(Env, TimedLoadStoreRoundTrip) {
     value = 7;  // host mutation outside the model is visible too
     EXPECT_EQ(env.ld(value), 7);
   });
-  EXPECT_GT(env.stats().core[0].stores, 0u);
-  EXPECT_GT(env.stats().core[0].loads, 0u);
+  EXPECT_GT(env.metrics().value(Component::kCache, "stores", 0), 0u);
+  EXPECT_GT(env.metrics().value(Component::kCache, "loads", 0), 0u);
 }
 
 TEST(Env, ConventionalAccessToVersionedSlotFaults) {
@@ -118,7 +120,7 @@ TEST(TaskRuntime, TasksRunInIdOrderPerWorker) {
       }
     }
   }
-  EXPECT_EQ(env.stats().total().tasks_executed, 16u);
+  EXPECT_EQ(env.metrics().total(Component::kOsm, "tasks_executed"), 16u);
 }
 
 TEST(TaskRuntime, TaskIdsDriveVersionPipelining) {
@@ -149,7 +151,8 @@ TEST(TaskRuntime, GcSeesTaskWindow) {
     rt.create_task(t, [&](TaskId tid) { v.store_ver(tid, tid); });
   }
   rt.run();
-  EXPECT_EQ(env.stats().shadowed_blocks, 7u);  // each store shadows the last
+  // Each store shadows the last.
+  EXPECT_EQ(env.metrics().total(Component::kGc, "shadowed_blocks"), 7u);
   EXPECT_EQ(env.osm().gc().unfinished_tasks(), 0u);
 }
 

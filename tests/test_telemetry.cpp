@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ostructure_manager.hpp"
+#include "runtime/env.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -56,6 +57,55 @@ TEST(Metrics, AbsentMetricReadsAsZero) {
   EXPECT_EQ(reg.total(Component::kCore, "never_registered"), 0u);
   EXPECT_EQ(reg.value(Component::kCore, "never_registered", 1), 0u);
   EXPECT_EQ(reg.find(Component::kCore, "never_registered"), nullptr);
+}
+
+// Tests across the suite read simulator counters by name, and an absent
+// name reads as zero (above), so a misspelled or renamed metric would let
+// their EXPECT_EQ(..., 0u) pass without testing anything. Pin every name
+// they read to a registration on a default timed Env, per-core where they
+// read one core's slot.
+TEST(Metrics, DefaultTimedEnvRegistersEveryNameTestsRead) {
+  struct Name {
+    Component component;
+    const char* name;
+    bool per_core;
+  };
+  const Name names[] = {
+      {Component::kCore, "instructions", true},
+      {Component::kCore, "stall_cycles", true},
+      {Component::kCache, "loads", true},
+      {Component::kCache, "stores", true},
+      {Component::kCache, "l1_hits", true},
+      {Component::kCache, "l1_misses", true},
+      {Component::kCache, "l2_hits", true},
+      {Component::kCache, "l2_misses", true},
+      {Component::kCache, "remote_l1_fills", true},
+      {Component::kCache, "upgrades", true},
+      {Component::kOsm, "versioned_ops", true},
+      {Component::kOsm, "direct_hits", true},
+      {Component::kOsm, "full_lookups", true},
+      {Component::kOsm, "walk_blocks", true},
+      {Component::kOsm, "stalls", true},
+      {Component::kOsm, "root_loads", true},
+      {Component::kOsm, "root_stalls", true},
+      {Component::kOsm, "tasks_executed", true},
+      {Component::kOsm, "blocks_allocated", false},
+      {Component::kOsm, "blocks_freed", false},
+      {Component::kOsm, "os_traps", false},
+      {Component::kOsm, "compressed_installs", false},
+      {Component::kOsm, "compressed_discards", false},
+      {Component::kOsm, "compress_overflows", false},
+      {Component::kGc, "phases", false},
+      {Component::kGc, "shadowed_blocks", false},
+  };
+  const Env env(MachineConfig{});
+  for (const Name& n : names) {
+    const MetricRegistry::Metric* m = env.metrics().find(n.component, n.name);
+    ASSERT_NE(m, nullptr) << to_string(n.component) << '/' << n.name;
+    if (n.per_core) {
+      EXPECT_TRUE(m->per_core) << to_string(n.component) << '/' << n.name;
+    }
+  }
 }
 
 TEST(Metrics, HistogramBucketsOverflowSumCount) {

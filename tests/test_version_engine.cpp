@@ -1,5 +1,5 @@
 // VersionEngine conformance suite: ONE scripted op stream, executed purely
-// through the facade's batched execute(), across the full engine matrix
+// through the facade's execute(), across the full engine matrix
 //   {serial timed, serial functional, concurrent}
 //     x {--gc=paper, --gc=bounded}
 //     x {--inject "" (detached), --inject none (attached-but-inert)}
@@ -95,8 +95,8 @@ Op end(TaskId t) {
 // exact load targets an already-published version, so no op ever blocks
 // and the observable outcome is engine-independent by construction. Task 3
 // commits three deliberate faults — duplicate store, versioned op outside
-// the allocation, unlock by a non-owner — which batched execute() records
-// and skips (catch-per-op-and-continue).
+// the allocation, unlock by a non-owner — which execute() records and
+// skips (catch-per-op-and-continue).
 std::vector<Op> conformance_program(OAddr base) {
   auto slot = [base](std::size_t s) {
     return base + 8 * static_cast<OAddr>(s);

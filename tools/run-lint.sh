@@ -13,18 +13,36 @@ cd "$(dirname "$0")/.."
 build_dir="${1:-build}"
 jobs="${2:-$(nproc)}"
 
-# Layering lint (toolchain-free, always enforced): the backend-agnostic
-# engine layer must stay consumable by everything above it, so src/core
-# may depend only on core/, sim/, and telemetry/ headers — never on
-# runtime/, bench/, or analysis/. A violation here is how facade
-# abstractions rot: the shared layer quietly reaches back up the stack.
-layering_bad=$(grep -rn '#include "\(runtime\|bench\|analysis\)/' src/core || true)
-if [ -n "$layering_bad" ]; then
-  echo "run-lint: LAYERING VIOLATION — src/core includes an upper layer:"
-  echo "$layering_bad"
-  exit 1
-fi
-echo "run-lint: layering OK (src/core depends only on core/, sim/, telemetry/)"
+# Source gates (toolchain-free, always enforced): each fails the run and
+# prints the offending lines when its grep finds any.
+fail_on() {
+  if [ -n "$2" ]; then
+    echo "run-lint: $1:"
+    echo "$2"
+    exit 1
+  fi
+}
+
+# The backend-agnostic engine layer must stay consumable by everything
+# above it, so src/core may depend only on core/, sim/, and telemetry/
+# headers — never on runtime/, bench/, or analysis/. A violation here is
+# how facade abstractions rot: the shared layer quietly reaches back up
+# the stack.
+fail_on "LAYERING VIOLATION — src/core includes an upper layer" \
+  "$(grep -rn '#include "\(runtime\|bench\|analysis\)/' src/core || true)"
+# Telemetry sits below every other layer (DESIGN.md §6), so any layer can
+# report through it: it may include only its own headers and
+# core/types.hpp.
+fail_on "LAYERING VIOLATION — src/telemetry includes another layer" \
+  "$(grep -rn '#include "' src/telemetry |
+     grep -v '#include "\(telemetry/[^"]*\|core/types\.hpp\)"' || true)"
+# No compatibility shims: a [[deprecated]] declaration is a second
+# spelling of something that already has one. Port its callers and
+# delete it instead.
+fail_on "DEPRECATED DECLARATION under src/ (port its callers, delete it)" \
+  "$(grep -rn '\[\[deprecated' src || true)"
+echo "run-lint: source gates OK (src/core and src/telemetry layering," \
+  "no [[deprecated]] under src/)"
 
 if ! command -v clang-tidy > /dev/null 2>&1; then
   echo "run-lint: clang-tidy not installed; skipping (install LLVM to lint)"

@@ -106,7 +106,7 @@ cmake --build --preset tsan -j "$jobs" --target test_gc_policy
 
 echo
 echo "== TSan: VersionEngine facade conformance (concurrent cells) =="
-# Batched execute() on real host threads: the conformance suite's
+# VersionEngine::execute() on real host threads: the conformance suite's
 # Concurrent* tests drive ConcurrentVersionStore purely through the
 # facade — the matrix cells single-driver, the threaded test as per-task
 # batches under the work pool — so a race in the dispatch loop or in
