@@ -92,22 +92,48 @@ void Fiber::yield() {
                                  asan_caller_size_);
 #endif
   osim_fiber_switch(&sp_, caller_sp_);
+  finish_switch_in();
+}
+
+void Fiber::switch_to(Fiber& next) {
+  assert(g_current == this && "switch_to() from outside the fiber");
+  assert(&next != this && !next.finished_);
+  next.started_ = true;
+  next.caller_sp_ = caller_sp_;
+  g_current = &next;
 #if defined(OSIM_ASAN_FIBERS)
-  __sanitizer_finish_switch_fiber(asan_fake_stack_, &asan_caller_bottom_,
-                                  &asan_caller_size_);
+  next.asan_caller_bottom_ = asan_caller_bottom_;
+  next.asan_caller_size_ = asan_caller_size_;
+  next.asan_handoff_ = true;
+  __sanitizer_start_switch_fiber(&asan_fake_stack_, next.stack_.get(),
+                                 next.stack_bytes_);
+#endif
+  osim_fiber_switch(&sp_, next.sp_);
+  finish_switch_in();
+}
+
+void Fiber::finish_switch_in() {
+#if defined(OSIM_ASAN_FIBERS)
+  // Arrival from the resumer records its stack bounds for the switches
+  // back; arrival by handoff already holds them (see switch_to()).
+  if (asan_handoff_) {
+    asan_handoff_ = false;
+    __sanitizer_finish_switch_fiber(asan_fake_stack_, nullptr, nullptr);
+  } else {
+    __sanitizer_finish_switch_fiber(asan_fake_stack_, &asan_caller_bottom_,
+                                    &asan_caller_size_);
+  }
 #endif
 }
 
 void fiber_entry_impl(Fiber* f) {
-#if defined(OSIM_ASAN_FIBERS)
-  // First arrival on this stack: no prior fake-stack handle to restore;
-  // record the resumer's bounds for the switches back in yield().
-  __sanitizer_finish_switch_fiber(nullptr, &f->asan_caller_bottom_,
-                                  &f->asan_caller_size_);
-#endif
+  // First arrival on this stack: the fake-stack handle is still null, so
+  // there is nothing to restore.
+  f->finish_switch_in();
   f->fn_();
   f->finished_ = true;
-  // Final switch back to the resumer; this fiber is never resumed again.
+  // Final switch back to the resumer (the one that started the chain, after
+  // a handoff); this fiber is never resumed again.
 #if defined(OSIM_ASAN_FIBERS)
   // Null handle: the fiber is exiting for good, so ASan frees its fake stack.
   __sanitizer_start_switch_fiber(nullptr, f->asan_caller_bottom_,

@@ -23,6 +23,7 @@ Machine::Machine(const MachineConfig& cfg)
                                           "stall_cycles")),
       memsys_(cfg, registry_) {
   cores_.resize(static_cast<std::size_t>(cfg.num_cores));
+  run_queue_.reserve(cores_.size());
 }
 
 Machine::~Machine() {
@@ -45,8 +46,6 @@ void Machine::spawn(CoreId core, std::function<void()> body) {
     throw SimError("core already has a program");
   }
   ctx.fiber.reset();
-  ctx.state = CoreState::kRunnable;
-  invalidate_order_cache();
   ctx.fiber = std::make_unique<Fiber>(
       [this, body = std::move(body)] {
         try {
@@ -61,49 +60,69 @@ void Machine::spawn(CoreId core, std::function<void()> body) {
         }
       },
       cfg_.fiber_stack_bytes);
+  push_runnable(core);
 }
 
-CoreId Machine::earliest_runnable() const {
-  CoreId best = -1;
-  for (std::size_t i = 0; i < cores_.size(); ++i) {
-    const auto& c = cores_[i];
-    if (c.state != CoreState::kRunnable) continue;
-    if (best < 0 || c.clock < cores_[static_cast<std::size_t>(best)].clock) {
-      best = static_cast<CoreId>(i);
-    }
+void Machine::push_runnable(CoreId core) {
+  const QueueEntry e{cores_[static_cast<std::size_t>(core)].clock, core};
+  std::size_t hole = run_queue_.size();
+  run_queue_.push_back(e);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!precedes(e, run_queue_[parent])) break;
+    run_queue_[hole] = run_queue_[parent];
+    hole = parent;
   }
-  return best;
+  run_queue_[hole] = e;
 }
 
-bool Machine::i_am_earliest() const {
-  if (!order_cache_valid_) {
-    other_min_id_ = -1;
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      const auto& c = cores_[i];
-      if (static_cast<CoreId>(i) == running_) continue;
-      if (c.state != CoreState::kRunnable) continue;
-      if (other_min_id_ < 0 || c.clock < other_min_clock_) {
-        other_min_clock_ = c.clock;
-        other_min_id_ = static_cast<CoreId>(i);
-      }
+CoreId Machine::pop_earliest() {
+  const CoreId top = run_queue_.front().id;
+  run_queue_.front() = run_queue_.back();
+  run_queue_.pop_back();
+  if (!run_queue_.empty()) sift_down(0);
+  return top;
+}
+
+void Machine::sift_down(std::size_t hole) {
+  const QueueEntry e = run_queue_[hole];
+  const std::size_t n = run_queue_.size();
+  while (true) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= n) break;
+    if (child + 1 < n && precedes(run_queue_[child + 1], run_queue_[child])) {
+      ++child;
     }
-    order_cache_valid_ = true;
+    if (!precedes(run_queue_[child], e)) break;
+    run_queue_[hole] = run_queue_[child];
+    hole = child;
   }
-  if (other_min_id_ < 0) return true;
-  const Cycles mine = cores_[static_cast<std::size_t>(running_)].clock;
-  return other_min_clock_ > mine ||
-         (other_min_clock_ == mine && other_min_id_ > running_);
+  run_queue_[hole] = e;
 }
 
-void Machine::yield_current() {
-  auto& ctx = cores_[static_cast<std::size_t>(running_)];
-  ctx.fiber->yield();
+void Machine::switch_to_core(CoreId next) {
+  Fiber& self = *cores_[static_cast<std::size_t>(running_)].fiber;
+  if (next < 0 || cancelling_) {
+    // Back to run(), which reads the returning core from running_.
+    self.yield();
+  } else {
+    running_ = next;
+    self.switch_to(*cores_[static_cast<std::size_t>(next)].fiber);
+  }
+  // Whoever switched back into this fiber set running_ to its core.
   if (cancelling_) throw CancelUnwind{};
 }
 
 void Machine::sync_to_global_order() {
   assert(running_ >= 0);
-  while (!i_am_earliest()) yield_current();
+  while (!i_am_earliest()) {
+    // The running core takes the top's place and the old top runs next.
+    const CoreId next = run_queue_.front().id;
+    run_queue_.front() = {cores_[static_cast<std::size_t>(running_)].clock,
+                          running_};
+    sift_down(0);
+    switch_to_core(next);
+  }
 }
 
 Cycles Machine::now() const {
@@ -131,10 +150,10 @@ void Machine::mem_access(Addr addr, AccessType type, AccessOptions opts) {
 void Machine::block_on(WaitList& wl) {
   assert(running_ >= 0);
   auto& ctx = cores_[static_cast<std::size_t>(running_)];
-  ctx.state = CoreState::kBlocked;
+  ctx.blocked = true;
   ctx.block_start = ctx.clock;
   wl.waiters_.push_back(running_);
-  yield_current();
+  switch_to_core(run_queue_.empty() ? -1 : pop_earliest());
 }
 
 void Machine::wake_all(WaitList& wl, Cycles wake_latency) {
@@ -142,12 +161,12 @@ void Machine::wake_all(WaitList& wl, Cycles wake_latency) {
   const Cycles arrival = now() + wake_latency;
   for (CoreId w : wl.waiters_) {
     auto& ctx = cores_[static_cast<std::size_t>(w)];
-    assert(ctx.state == CoreState::kBlocked);
+    assert(ctx.blocked);
     ctx.clock = std::max(ctx.clock, arrival);
     stall_cycles_.inc(w, ctx.clock - ctx.block_start);
-    ctx.state = CoreState::kRunnable;
+    ctx.blocked = false;
+    push_runnable(w);
   }
-  if (!wl.waiters_.empty()) invalidate_order_cache();
   wl.waiters_.clear();
 }
 
@@ -155,20 +174,19 @@ void Machine::fault(const std::string& what) { throw SimError(what); }
 
 void Machine::cancel_all() {
   cancelling_ = true;
+  run_queue_.clear();
   for (auto& c : cores_) {
-    if (!c.fiber) continue;
-    if (!c.fiber->started()) {
-      c.state = CoreState::kDone;
-      continue;
-    }
+    if (!c.fiber || !c.fiber->started()) continue;
     while (!c.fiber->finished()) {
       running_ = static_cast<CoreId>(&c - cores_.data());
-      invalidate_order_cache();
       c.fiber->resume();
     }
-    c.state = CoreState::kDone;
+    c.blocked = false;
     running_ = -1;
   }
+  // Cleanup that runs while a fiber unwinds (a catch-all that releases a
+  // lock and wakes its waiters) may have queued cores again.
+  run_queue_.clear();
   cancelling_ = false;
 }
 
@@ -178,36 +196,29 @@ void Machine::run() {
   struct Reset {
     ~Reset() { g_machine = nullptr; }
   } reset;
+  faulted_ = false;
+  fault_.clear();
 
-  while (true) {
-    const CoreId c = earliest_runnable();
-    if (c < 0) {
-      bool any_blocked = false;
-      std::size_t blocked = 0;
-      for (const auto& ctx : cores_) {
-        if (ctx.state == CoreState::kBlocked) {
-          any_blocked = true;
-          ++blocked;
-        }
-      }
-      if (!any_blocked) break;  // all programs done
-      cancel_all();
-      throw SimError("deadlock: " + std::to_string(blocked) +
-                     " core(s) blocked with no possible wakeup");
-    }
-    auto& ctx = cores_[static_cast<std::size_t>(c)];
-    running_ = c;
-    invalidate_order_cache();
-    ctx.fiber->resume();
+  while (!run_queue_.empty()) {
+    running_ = pop_earliest();
+    cores_[static_cast<std::size_t>(running_)].fiber->resume();
+    // Control is back from whichever core ran last: its program finished,
+    // or it blocked with no other core left to run.
+    auto& ctx = cores_[static_cast<std::size_t>(running_)];
     running_ = -1;
-    if (ctx.fiber->finished()) {
-      ctx.state = CoreState::kDone;
-      elapsed_ = std::max(elapsed_, ctx.clock);
-    }
+    if (ctx.fiber->finished()) elapsed_ = std::max(elapsed_, ctx.clock);
     if (faulted_) {
       cancel_all();
       throw SimError(fault_);
     }
+  }
+  const auto blocked = std::count_if(
+      cores_.begin(), cores_.end(),
+      [](const CoreCtx& c) { return c.blocked; });
+  if (blocked > 0) {
+    cancel_all();
+    throw SimError("deadlock: " + std::to_string(blocked) +
+                   " core(s) blocked with no possible wakeup");
   }
 }
 

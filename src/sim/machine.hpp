@@ -7,6 +7,13 @@
 // interleaving of all memory events — the property that makes every
 // experiment in this repo bit-reproducible.
 //
+// The runnable cores other than the running one wait in a binary min-heap
+// keyed by (clock, id). A queued core's key never changes (only the running
+// core's clock advances, and wake_all re-times cores that are blocked, not
+// queued), so the heap top is exactly the core a scan would pick. A yielding
+// or blocking core switches straight to the heap top's fiber; run() takes
+// over only for the first resume, a fiber's exit, deadlock and faults.
+//
 // Blocking (stalled versioned ops, lock waits) is event-driven: a core parks
 // itself on a WaitList and is re-timestamped when woken. If every core is
 // blocked the machine reports deadlock rather than spinning.
@@ -68,7 +75,8 @@ class Machine {
   void spawn(CoreId core, std::function<void()> body);
 
   /// Run until every spawned core finishes. Throws SimError on deadlock or
-  /// on a fault recorded by a core.
+  /// on a fault recorded by a core. A fault ends only the run it occurred
+  /// in: the next run() starts clean.
   void run();
 
   // ---- Core-side API (call only from inside a spawned fiber) ----
@@ -116,26 +124,44 @@ class Machine {
   int num_cores() const { return cfg_.num_cores; }
 
  private:
-  enum class CoreState { kIdle, kRunnable, kBlocked, kDone };
-
   struct CoreCtx {
     std::unique_ptr<Fiber> fiber;
     Cycles clock = 0;
     Cycles block_start = 0;
-    CoreState state = CoreState::kIdle;
+    /// Parked on a WaitList. A core that is neither blocked nor finished is
+    /// running or queued in run_queue_.
+    bool blocked = false;
   };
 
-  /// Earliest runnable core, or -1. Linear scan: num_cores <= 64 and the
-  /// scan only happens at scheduling points.
-  CoreId earliest_runnable() const;
-  /// Whether the running core precedes every other runnable core in
-  /// (clock, id) order. Called before every memory event, so the minimum
-  /// over the *other* runnable cores is cached: while one core runs, only
-  /// its own clock moves, and the cache is invalidated at the points that
-  /// change other cores (resume, spawn, wake_all).
-  bool i_am_earliest() const;
-  void invalidate_order_cache() { order_cache_valid_ = false; }
-  void yield_current();
+  /// A queued core's run-queue key. Inline, so heap moves never touch
+  /// cores_.
+  struct QueueEntry {
+    Cycles clock;
+    CoreId id;
+  };
+  /// (clock, id) order: ids are unique, so no two entries tie.
+  static bool precedes(const QueueEntry& a, const QueueEntry& b) {
+    return a.clock < b.clock || (a.clock == b.clock && a.id < b.id);
+  }
+  /// Queue `core` under its current clock.
+  void push_runnable(CoreId core);
+  /// Remove and return the earliest queued core. The queue must be non-empty.
+  CoreId pop_earliest();
+  /// Restore heap order below `hole` after the entry there was replaced.
+  void sift_down(std::size_t hole);
+
+  /// Whether the running core precedes every queued core: one compare
+  /// against the heap top.
+  bool i_am_earliest() const {
+    return run_queue_.empty() ||
+           precedes({cores_[static_cast<std::size_t>(running_)].clock,
+                     running_},
+                    run_queue_.front());
+  }
+  /// Suspend the running core, which the caller has already re-queued or
+  /// parked, and switch straight to core `next`'s fiber; `next` < 0 (no
+  /// core left to run) or a cancellation in progress returns to run().
+  void switch_to_core(CoreId next);
   /// Unwind every unfinished fiber (after a fault or deadlock) so stacks are
   /// cleanly destroyed before run() rethrows.
   void cancel_all();
@@ -148,12 +174,10 @@ class Machine {
   telemetry::CounterVec stall_cycles_;
   MemorySystem memsys_;
   std::vector<CoreCtx> cores_;
+  /// Binary min-heap in precedes() order of every runnable core except the
+  /// running one.
+  std::vector<QueueEntry> run_queue_;
   CoreId running_ = -1;
-  /// Cached (clock, id) minimum over runnable cores other than running_.
-  /// Valid only while running_ executes; see i_am_earliest().
-  mutable bool order_cache_valid_ = false;
-  mutable Cycles other_min_clock_ = 0;
-  mutable CoreId other_min_id_ = -1;
   Cycles elapsed_ = 0;
   std::string fault_;
   bool faulted_ = false;

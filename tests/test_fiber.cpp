@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,174 @@ TEST(Fiber, ManyFibers) {
   for (auto& f : fibers) f->resume();
   for (auto& f : fibers) EXPECT_TRUE(f->finished());
   EXPECT_EQ(sum, 64 * 63 / 2);
+}
+
+// ---- Direct handoff (switch_to) ----
+
+// Helpers for ResumerStackIsCleanAfterHandoff: a throw that unwinds a frame
+// with an instrumented local buffer, then a frame that reuses that stack.
+[[gnu::noinline]] void throw_through_buffer() {
+  volatile char buf[256];
+  buf[0] = 1;
+  if (buf[0] == 1) throw std::runtime_error("unwind");
+}
+
+[[gnu::noinline]] bool catch_on_this_stack() {
+  try {
+    throw_through_buffer();
+  } catch (const std::runtime_error&) {
+    return true;
+  }
+  return false;
+}
+
+[[gnu::noinline]] int touch_stack() {
+  volatile char buf[4096];
+  for (auto& c : buf) c = 0;
+  return buf[0];
+}
+
+TEST(Fiber, SwitchToChainYieldsBackToOriginalResumer) {
+  // A -> B -> C by handoff; C's yield returns to the resume() that entered
+  // A. Each fiber, resumed directly afterwards, picks up where it left off.
+  std::string log;
+  std::vector<Fiber*> current;
+  Fiber c([&] {
+    current.push_back(Fiber::current());
+    log += 'c';
+    Fiber::current()->yield();
+    current.push_back(Fiber::current());
+    log += 'C';
+  });
+  Fiber b([&] {
+    current.push_back(Fiber::current());
+    log += 'b';
+    Fiber::current()->switch_to(c);
+    current.push_back(Fiber::current());
+    log += 'B';
+  });
+  Fiber a([&] {
+    current.push_back(Fiber::current());
+    log += 'a';
+    Fiber::current()->switch_to(b);
+    current.push_back(Fiber::current());
+    log += 'A';
+  });
+  a.resume();
+  EXPECT_EQ(log, "abc");
+  EXPECT_EQ(Fiber::current(), nullptr);
+  EXPECT_TRUE(b.started());
+  EXPECT_TRUE(c.started());
+  EXPECT_FALSE(a.finished() || b.finished() || c.finished());
+
+  c.resume();
+  EXPECT_TRUE(c.finished());
+  b.resume();
+  EXPECT_TRUE(b.finished());
+  a.resume();
+  EXPECT_TRUE(a.finished());
+  EXPECT_EQ(log, "abcCBA");
+  EXPECT_EQ(current, (std::vector<Fiber*>{&a, &b, &c, &c, &b, &a}));
+  EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+TEST(Fiber, SwitchToFiberSuspendedInSwitchTo) {
+  // Ping-pong: A hands off to B, B hands back to A (suspended inside
+  // switch_to), and A's yield still returns to the original resumer.
+  std::string log;
+  Fiber* a_ptr = nullptr;
+  Fiber b([&] {
+    log += 'b';
+    EXPECT_EQ(Fiber::current(), &b);
+    Fiber::current()->switch_to(*a_ptr);
+    log += 'B';
+  });
+  Fiber a([&] {
+    log += 'a';
+    Fiber::current()->switch_to(b);
+    EXPECT_EQ(Fiber::current(), a_ptr);
+    log += 'A';
+    Fiber::current()->yield();
+    log += '!';
+  });
+  a_ptr = &a;
+  a.resume();
+  EXPECT_EQ(log, "abA");
+  EXPECT_EQ(Fiber::current(), nullptr);
+  a.resume();
+  b.resume();
+  EXPECT_TRUE(a.finished());
+  EXPECT_TRUE(b.finished());
+  EXPECT_EQ(log, "abA!B");
+}
+
+TEST(Fiber, ExceptionCaughtInsideHandedOffFiber) {
+  // Throwing on a stack entered by handoff exercises the sanitizer's
+  // stack-bounds bookkeeping for that stack (the ASan preset runs this).
+  std::vector<std::string> caught;
+  Fiber b([&] {
+    try {
+      throw std::runtime_error("first");
+    } catch (const std::runtime_error& e) {
+      caught.emplace_back(e.what());
+    }
+    Fiber::current()->yield();
+    try {
+      throw std::runtime_error("second");
+    } catch (const std::runtime_error& e) {
+      caught.emplace_back(e.what());
+    }
+  });
+  Fiber a([&] {
+    Fiber::current()->switch_to(b);
+    try {
+      throw std::runtime_error("third");
+    } catch (const std::runtime_error& e) {
+      caught.emplace_back(e.what());
+    }
+  });
+  a.resume();
+  EXPECT_EQ(caught, (std::vector<std::string>{"first"}));
+  b.resume();
+  EXPECT_TRUE(b.finished());
+  a.resume();
+  EXPECT_TRUE(a.finished());
+  EXPECT_EQ(caught, (std::vector<std::string>{"first", "second", "third"}));
+}
+
+TEST(Fiber, ResumerStackIsCleanAfterHandoff) {
+  // A fiber entered by handoff must switch back to the resumer's stack, and
+  // say so to ASan: with the previous fiber's stack bounds recorded instead,
+  // the resumer's next throw skips ASan's stack unpoisoning and the reused
+  // stack reports stack-buffer-underflow (asan-ubsan preset).
+  Fiber c([] { Fiber::current()->yield(); });
+  Fiber b([&] { Fiber::current()->switch_to(c); });
+  Fiber a([&] { Fiber::current()->switch_to(b); });
+  a.resume();
+  EXPECT_TRUE(catch_on_this_stack());
+  EXPECT_EQ(touch_stack(), 0);
+  c.resume();
+  b.resume();
+  a.resume();
+  EXPECT_TRUE(catch_on_this_stack());
+  EXPECT_EQ(touch_stack(), 0);
+}
+
+TEST(Fiber, HandedOffFiberExitReturnsToResumer) {
+  int x = 0;
+  Fiber b([&] { x = 1; });
+  Fiber a([&] {
+    Fiber::current()->switch_to(b);
+    x = 2;
+  });
+  a.resume();  // a hands off to b, and b's exit comes back here
+  EXPECT_EQ(x, 1);
+  EXPECT_TRUE(b.finished());
+  EXPECT_FALSE(a.finished());
+  EXPECT_EQ(Fiber::current(), nullptr);
+  a.resume();
+  EXPECT_TRUE(a.finished());
+  EXPECT_EQ(x, 2);
 }
 
 }  // namespace

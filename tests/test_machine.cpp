@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -161,6 +163,21 @@ TEST(Machine, FaultPropagatesOutOfRun) {
   }
 }
 
+TEST(Machine, RunAfterFaultStartsClean) {
+  // A fault ends the run it occurred in. Respawning the core and running
+  // again must not rethrow the earlier fault.
+  Machine m(cfg(1));
+  m.spawn(0, [] { throw std::runtime_error("first-run fault"); });
+  EXPECT_THROW(m.run(), SimError);
+  bool ran = false;
+  m.spawn(0, [&] {
+    mach().advance(10);
+    ran = true;
+  });
+  EXPECT_NO_THROW(m.run());
+  EXPECT_TRUE(ran);
+}
+
 TEST(Machine, DeterministicAcrossRuns) {
   auto run_once = [] {
     Machine m(cfg(4));
@@ -234,6 +251,85 @@ TEST(Machine, SharedCounterInterleavingIsTimestampOrdered) {
   EXPECT_GT(m.metrics().value(Component::kCache, "remote_l1_fills", 0) +
                 m.metrics().value(Component::kCache, "upgrades", 0),
             0u);
+}
+
+TEST(Machine, InterleavingMatchesRecordedOrder) {
+  // Twelve cores run a seeded mix of exec, advance, mem_access, block_on
+  // and wake_all over a few shared lines. Clocks are often aligned to a
+  // common grid so that equal-clock ties are frequent, and wakes use both
+  // zero and non-zero latency. The (core, clock) sequence of the memory
+  // events is hashed and compared with a recorded value, so any change of
+  // pick order or tie-break fails the test.
+  constexpr int kCores = 12;
+  constexpr int kSteps = 300;
+  Machine m(cfg(kCores));
+  std::array<WaitList, 3> lists;
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a over 64-bit words
+  auto mix = [&hash](std::uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ull;
+  };
+  // Cores neither blocked nor finished, updated with no switch between the
+  // check and the block. A core blocks only while another one stays
+  // active, and every finishing core wakes all lists, so the run cannot
+  // deadlock.
+  int active = kCores;
+  for (CoreId c = 0; c < kCores; ++c) {
+    m.spawn(c, [&, c] {
+      std::uint64_t rng = 0x9E3779B97F4A7C15ull * static_cast<unsigned>(c + 1);
+      auto next = [&rng] {  // splitmix64
+        std::uint64_t z = (rng += 0x9E3779B97F4A7C15ull);
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+        return z ^ (z >> 31);
+      };
+      auto wake = [&](WaitList& wl, Cycles latency) {
+        active += static_cast<int>(wl.size());
+        mach().wake_all(wl, latency);
+      };
+      for (int i = 0; i < kSteps; ++i) {
+        const std::uint64_t r = next();
+        switch (r % 8) {
+          case 0:
+            mach().exec(1 + (r >> 8) % 6);
+            break;
+          case 1:  // align to a 16-cycle grid: equal clocks across cores
+            mach().advance((16 - mach().now() % 16) % 16);
+            break;
+          case 2:
+            mach().advance((r >> 8) % 3);
+            break;
+          case 3:
+          case 4:
+          case 5: {
+            const Addr line = 0x40000 + 64 * ((r >> 8) % 12);
+            mach().mem_access(line, (r >> 16) % 3 == 0 ? AccessType::kWrite
+                                                       : AccessType::kRead);
+            mix(static_cast<std::uint64_t>(c));
+            mix(mach().now());
+            break;
+          }
+          case 6:
+            mach().sync_to_global_order();
+            if (active > 1) {
+              --active;
+              mach().block_on(lists[(r >> 8) % lists.size()]);
+            }
+            break;
+          case 7:
+            mach().sync_to_global_order();
+            wake(lists[(r >> 8) % lists.size()], (r >> 16) % 2 == 0 ? 0 : 5);
+            break;
+        }
+      }
+      mach().sync_to_global_order();
+      for (WaitList& wl : lists) wake(wl, 0);
+      --active;
+    });
+  }
+  m.run();
+  mix(m.elapsed());
+  EXPECT_EQ(hash, 15141214710161517686ull);
 }
 
 }  // namespace
