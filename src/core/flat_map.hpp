@@ -10,9 +10,13 @@
 //
 // Deletion uses tombstones, so references to mapped values stay valid across
 // erase() (the memory system relies on this while tearing down directory
-// entries mid-operation). References are invalidated by rehash, i.e. by any
-// insert that grows the table — same contract callers already honoured for
-// std::unordered_map.
+// entries mid-operation). References are invalidated by rehash, i.e. by an
+// insert that finds the table at its load limit — same contract callers
+// already honoured for std::unordered_map. The rehash doubles the capacity
+// only when live entries fill more than a quarter of it; otherwise it clears
+// the tombstones at the same capacity, so insert/erase churn over a bounded
+// live set keeps the table below 8x that set (or 16 slots) however many
+// distinct keys pass through.
 //
 // Not iterable by design: simulation results must not depend on hash-table
 // iteration order, so the map simply does not offer it.
@@ -36,6 +40,8 @@ class FlatMap {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Number of slots (0 before the first insert).
+  std::size_t capacity() const { return cap_; }
 
   /// Pointer to the mapped value, or nullptr.
   V* find(K key) {
@@ -56,7 +62,7 @@ class FlatMap {
   /// Returns (value, inserted). Finding an existing key never rehashes, so
   /// only an actual insertion can invalidate outstanding references.
   std::pair<V&, bool> try_emplace(K key) {
-    if (cap_ == 0) grow();
+    if (cap_ == 0) rehash();
     for (;;) {
       std::size_t insert_at = kNpos;
       for (std::size_t i = index_of(key);; i = next(i)) {
@@ -70,11 +76,11 @@ class FlatMap {
           continue;
         }
         // Empty: the key is absent. Reuse the first tombstone seen, else
-        // claim this slot — growing (and re-probing) if that would push
+        // claim this slot — rehashing (and re-probing) if that would push
         // occupancy past the load limit.
         const bool fresh = insert_at == kNpos;
         if (fresh) {
-          if ((used_ + 1) * 8 > cap_ * 7) break;  // grow, then re-probe
+          if ((used_ + 1) * 8 > cap_ * 7) break;  // rehash, then re-probe
           insert_at = i;
           ++used_;
         }
@@ -84,7 +90,7 @@ class FlatMap {
         ++size_;
         return {slots_[insert_at].second, true};
       }
-      grow();
+      rehash();
     }
   }
 
@@ -127,10 +133,17 @@ class FlatMap {
   }
   std::size_t next(std::size_t i) const { return (i + 1) & (cap_ - 1); }
 
-  // Grows at 7/8 occupancy counting tombstones, so probe chains stay short
-  // and an empty slot always exists to terminate probes.
-  void grow() {
-    const std::size_t new_cap = cap_ == 0 ? 16 : cap_ * 2;
+  // Runs at 7/8 occupancy counting tombstones, so probe chains stay short
+  // and an empty slot always exists to terminate probes. It doubles the
+  // capacity when more than a quarter of the slots are live and otherwise
+  // only clears the tombstones. Either way at least 7/16 of the capacity
+  // takes fresh inserts before the next rehash, so rehashing stays amortized
+  // O(1) per insert. A quarter, not a half: clearing at up to half live
+  // rehashed every 3/8 of the capacity under the directory's fill/evict
+  // churn and slowed the memory system's miss path by about a quarter.
+  void rehash() {
+    const std::size_t new_cap =
+        cap_ == 0 ? 16 : (size_ * 4 <= cap_ ? cap_ : cap_ * 2);
     std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
     std::vector<std::pair<K, V>> old_slots = std::move(slots_);
     ctrl_.assign(new_cap, kEmpty);

@@ -1,11 +1,15 @@
 #include "sim/cache.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace osim {
 
-Cache::Cache(const CacheConfig& cfg) : cfg_(cfg), sets_(cfg.num_sets()) {
+Cache::Cache(const CacheConfig& cfg)
+    : cfg_(cfg),
+      sets_(cfg.num_sets()),
+      ways_(static_cast<std::size_t>(cfg.ways)) {
   if (sets_ == 0) {
     throw std::invalid_argument("cache must hold at least one set");
   }
@@ -13,82 +17,60 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg), sets_(cfg.num_sets()) {
     throw std::invalid_argument("only 64-byte lines are modelled");
   }
   if ((sets_ & (sets_ - 1)) == 0) set_mask_ = sets_ - 1;
-  ways_.resize(sets_ * static_cast<std::size_t>(cfg_.ways));
+  tags_.resize(sets_ * ways_);
+  stamps_.resize(sets_ * ways_);
 }
-
-Cache::Way* Cache::find(Addr line) {
-  auto* base = &ways_[set_index(line) * cfg_.ways];
-  for (int i = 0; i < cfg_.ways; ++i) {
-    if (base[i].valid && base[i].tag == line) return &base[i];
-  }
-  return nullptr;
-}
-
-const Cache::Way* Cache::find(Addr line) const {
-  return const_cast<Cache*>(this)->find(line);
-}
-
-bool Cache::contains(Addr addr) const { return find(line_of(addr)) != nullptr; }
 
 bool Cache::dirty(Addr addr) const {
-  const Way* w = find(line_of(addr));
-  return w != nullptr && w->dirty_;
-}
-
-bool Cache::access(Addr addr, bool write) {
-  Way* w = find(line_of(addr));
-  if (w == nullptr) return false;
-  w->lru = ++tick_;
-  if (write) w->dirty_ = true;
-  return true;
+  const std::size_t w = find(line_of(addr));
+  return w != kAbsent && (tags_[w] & kDirty) != 0;
 }
 
 Cache::Eviction Cache::fill(Addr addr, bool dirty) {
   const Addr line = line_of(addr);
-  assert(find(line) == nullptr && "fill() of a line already present");
-  auto* base = &ways_[set_index(line) * cfg_.ways];
-  Way* victim = &base[0];
-  for (int i = 0; i < cfg_.ways; ++i) {
-    if (!base[i].valid) {
-      victim = &base[i];
+  assert(find(line) == kAbsent && "fill() of a line already present");
+  const std::size_t base = set_base(line);
+  std::size_t victim = base;
+  for (std::size_t w = base; w < base + ways_; ++w) {
+    if ((tags_[w] & kValid) == 0) {
+      victim = w;
       break;
     }
-    if (base[i].lru < victim->lru) victim = &base[i];
+    if (stamps_[w] < stamps_[victim]) victim = w;
   }
   Eviction ev;
-  if (victim->valid) {
+  if ((tags_[victim] & kValid) != 0) {
     ev.valid = true;
-    ev.line = victim->tag;
-    ev.dirty = victim->dirty_;
+    ev.line = tags_[victim] & kLineMask;
+    ev.dirty = (tags_[victim] & kDirty) != 0;
   }
-  victim->valid = true;
-  victim->tag = line;
-  victim->dirty_ = dirty;
-  victim->lru = ++tick_;
+  tags_[victim] = line | kValid | (dirty ? kDirty : 0);
+  stamps_[victim] = ++tick_;
   return ev;
 }
 
 bool Cache::invalidate(Addr addr) {
-  Way* w = find(line_of(addr));
-  if (w == nullptr) return false;
-  w->valid = false;
-  w->dirty_ = false;
+  const std::size_t w = find(line_of(addr));
+  if (w == kAbsent) return false;
+  tags_[w] = 0;
   return true;
 }
 
 void Cache::clean(Addr addr) {
-  if (Way* w = find(line_of(addr))) w->dirty_ = false;
+  const std::size_t w = find(line_of(addr));
+  if (w != kAbsent) tags_[w] &= ~kDirty;
 }
 
 void Cache::flush() {
-  for (auto& w : ways_) w = Way{};
+  std::fill(tags_.begin(), tags_.end(), 0);
+  std::fill(stamps_.begin(), stamps_.end(), 0);
   tick_ = 0;
 }
 
 std::uint64_t Cache::occupied_lines() const {
-  std::uint64_t n = 0;
-  for (const auto& w : ways_) n += w.valid ? 1 : 0;
-  return n;
+  return static_cast<std::uint64_t>(
+      std::count_if(tags_.begin(), tags_.end(),
+                    [](std::uint64_t t) { return (t & kValid) != 0; }));
 }
 
 }  // namespace osim

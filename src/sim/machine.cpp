@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 namespace osim {
 
@@ -11,6 +12,12 @@ thread_local Machine* g_machine = nullptr;
 
 /// Internal unwind token used to cancel fibers after a fault or deadlock.
 struct CancelUnwind {};
+
+[[noreturn]] void throw_clock_overflow(CoreId core, Cycles clock) {
+  throw SimError("core " + std::to_string(core) + " clock " +
+                 std::to_string(clock) +
+                 " reached 2^58 cycles, beyond the run queue's key range");
+}
 
 }  // namespace
 
@@ -63,21 +70,27 @@ void Machine::spawn(CoreId core, std::function<void()> body) {
   push_runnable(core);
 }
 
+std::uint64_t Machine::queue_key(CoreId core) const {
+  const Cycles clock = cores_[static_cast<std::size_t>(core)].clock;
+  if (clock >> (64 - kIdBits) != 0) throw_clock_overflow(core, clock);
+  return clock << kIdBits | static_cast<std::uint64_t>(core);
+}
+
 void Machine::push_runnable(CoreId core) {
-  const QueueEntry e{cores_[static_cast<std::size_t>(core)].clock, core};
+  const std::uint64_t key = queue_key(core);
   std::size_t hole = run_queue_.size();
-  run_queue_.push_back(e);
+  run_queue_.push_back(key);
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / 2;
-    if (!precedes(e, run_queue_[parent])) break;
+    if (run_queue_[parent] < key) break;
     run_queue_[hole] = run_queue_[parent];
     hole = parent;
   }
-  run_queue_[hole] = e;
+  run_queue_[hole] = key;
 }
 
 CoreId Machine::pop_earliest() {
-  const CoreId top = run_queue_.front().id;
+  const auto top = static_cast<CoreId>(run_queue_.front() & kIdMask);
   run_queue_.front() = run_queue_.back();
   run_queue_.pop_back();
   if (!run_queue_.empty()) sift_down(0);
@@ -85,19 +98,22 @@ CoreId Machine::pop_earliest() {
 }
 
 void Machine::sift_down(std::size_t hole) {
-  const QueueEntry e = run_queue_[hole];
+  std::uint64_t* q = run_queue_.data();
+  const std::uint64_t key = q[hole];
   const std::size_t n = run_queue_.size();
   while (true) {
     std::size_t child = 2 * hole + 1;
     if (child >= n) break;
-    if (child + 1 < n && precedes(run_queue_[child + 1], run_queue_[child])) {
-      ++child;
+    // The smaller child, picked by adding a comparison result rather than
+    // by branching on it.
+    if (child + 1 < n) {
+      child += static_cast<std::size_t>(q[child + 1] < q[child]);
     }
-    if (!precedes(run_queue_[child], e)) break;
-    run_queue_[hole] = run_queue_[child];
+    if (key < q[child]) break;
+    q[hole] = q[child];
     hole = child;
   }
-  run_queue_[hole] = e;
+  q[hole] = key;
 }
 
 void Machine::switch_to_core(CoreId next) {
@@ -117,9 +133,8 @@ void Machine::sync_to_global_order() {
   assert(running_ >= 0);
   while (!i_am_earliest()) {
     // The running core takes the top's place and the old top runs next.
-    const CoreId next = run_queue_.front().id;
-    run_queue_.front() = {cores_[static_cast<std::size_t>(running_)].clock,
-                          running_};
+    const auto next = static_cast<CoreId>(run_queue_.front() & kIdMask);
+    run_queue_.front() = queue_key(running_);
     sift_down(0);
     switch_to_core(next);
   }

@@ -14,6 +14,12 @@
 // or blocking core switches straight to the heap top's fiber; run() takes
 // over only for the first resume, a fiber's exit, deadlock and faults.
 //
+// The key is one uint64_t, `clock << 6 | id`: ids are below 64 (the memory
+// system accepts at most 64 cores), so unsigned order on keys is exactly
+// (clock, id) order, and a sift compares one word per child. A clock that
+// reaches 2^58 cycles no longer fits; computing its key raises SimError
+// instead of wrapping.
+//
 // Blocking (stalled versioned ops, lock waits) is event-driven: a core parks
 // itself on a WaitList and is re-timestamped when woken. If every core is
 // blocked the machine reports deadlock rather than spinning.
@@ -133,16 +139,13 @@ class Machine {
     bool blocked = false;
   };
 
-  /// A queued core's run-queue key. Inline, so heap moves never touch
-  /// cores_.
-  struct QueueEntry {
-    Cycles clock;
-    CoreId id;
-  };
-  /// (clock, id) order: ids are unique, so no two entries tie.
-  static bool precedes(const QueueEntry& a, const QueueEntry& b) {
-    return a.clock < b.clock || (a.clock == b.clock && a.id < b.id);
-  }
+  /// Run-queue key layout: the core id in the low kIdBits bits, the clock
+  /// above them. Ids are unique, so no two keys tie.
+  static constexpr int kIdBits = 6;
+  static constexpr std::uint64_t kIdMask = (std::uint64_t{1} << kIdBits) - 1;
+  /// `core`'s key under its current clock. Throws SimError once the clock
+  /// reaches 2^(64 - kIdBits) cycles.
+  std::uint64_t queue_key(CoreId core) const;
   /// Queue `core` under its current clock.
   void push_runnable(CoreId core);
   /// Remove and return the earliest queued core. The queue must be non-empty.
@@ -153,10 +156,7 @@ class Machine {
   /// Whether the running core precedes every queued core: one compare
   /// against the heap top.
   bool i_am_earliest() const {
-    return run_queue_.empty() ||
-           precedes({cores_[static_cast<std::size_t>(running_)].clock,
-                     running_},
-                    run_queue_.front());
+    return run_queue_.empty() || queue_key(running_) < run_queue_.front();
   }
   /// Suspend the running core, which the caller has already re-queued or
   /// parked, and switch straight to core `next`'s fiber; `next` < 0 (no
@@ -174,9 +174,9 @@ class Machine {
   telemetry::CounterVec stall_cycles_;
   MemorySystem memsys_;
   std::vector<CoreCtx> cores_;
-  /// Binary min-heap in precedes() order of every runnable core except the
-  /// running one.
-  std::vector<QueueEntry> run_queue_;
+  /// Binary min-heap of the queue_key()s of every runnable core except the
+  /// running one. Inline keys, so heap moves never touch cores_.
+  std::vector<std::uint64_t> run_queue_;
   CoreId running_ = -1;
   Cycles elapsed_ = 0;
   std::string fault_;

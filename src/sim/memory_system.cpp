@@ -1,19 +1,30 @@
 #include "sim/memory_system.hpp"
 
-#include <cassert>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace osim {
 
 namespace {
 std::uint64_t bit(CoreId c) { return std::uint64_t{1} << c; }
+
+MachineConfig checked(const MachineConfig& cfg) {
+  if (cfg.num_cores < 1 || cfg.num_cores > 64) {
+    throw std::invalid_argument(
+        "num_cores must be in [1, 64] (the directory's sharer mask has 64 "
+        "bits), got " +
+        std::to_string(cfg.num_cores));
+  }
+  return cfg;
+}
 }  // namespace
 
 MemorySystem::MemorySystem(const MachineConfig& cfg,
                            telemetry::MetricRegistry& reg)
-    : cfg_(cfg),
+    : cfg_(checked(cfg)),
       counters_(static_cast<std::size_t>(cfg.num_cores)),
       l2_(cfg.l2_config()) {
-  assert(cfg.num_cores >= 1 && cfg.num_cores <= 64);
   static_assert(sizeof(PerCoreCounters) == 8 * sizeof(std::uint64_t),
                 "stride below assumes a dense all-uint64 struct");
   constexpr std::size_t kStride =
@@ -41,29 +52,38 @@ MemorySystem::MemorySystem(const MachineConfig& cfg,
 
 void MemorySystem::drop_from_l1(CoreId core, Addr line) {
   if (l1s_[static_cast<std::size_t>(core)].invalidate(line)) {
-    if (DirEntry* de = dir_.find(line)) {
-      de->sharers &= ~bit(core);
-      if (de->owner == core) de->owner = -1;
-      if (de->sharers == 0 && de->owner == -1) dir_.erase(line);
-    }
-    if (drop_observer_) drop_observer_(core, line);
+    untrack(core, line);
   }
 }
 
-bool MemorySystem::invalidate_copies(CoreId except, Addr line) {
-  const DirEntry* de = dir_.find(line);
-  if (de == nullptr) return false;
-  bool any = false;
-  const std::uint64_t sharers = de->sharers;
-  const CoreId owner = de->owner;
-  for (int c = 0; c < cfg_.num_cores; ++c) {
-    if (c == except) continue;
-    if ((sharers & bit(c)) != 0 || owner == c) {
-      drop_from_l1(c, line);
-      any = true;
-    }
+void MemorySystem::fill_l1(CoreId core, Addr line, bool dirty) {
+  const Cache::Eviction ev =
+      l1s_[static_cast<std::size_t>(core)].fill(line, dirty);
+  // Writebacks land in the (inclusive) L2; bandwidth is not modelled.
+  if (ev.valid) untrack(core, ev.line);
+}
+
+void MemorySystem::untrack(CoreId core, Addr line) {
+  if (DirEntry* de = dir_.find(line)) {
+    de->sharers &= ~bit(core);
+    if (de->owner == core) de->owner = -1;
+    if (de->sharers == 0 && de->owner == -1) dir_.erase(line);
   }
-  return any;
+  if (drop_observer_) drop_observer_(core, line);
+}
+
+bool MemorySystem::invalidate_copies(CoreId except, Addr line,
+                                     const DirEntry* de) {
+  if (de == nullptr) return false;
+  // Every core holding a copy, in ascending order. The mask is taken before
+  // the first drop, which updates (and may erase) the entry.
+  std::uint64_t holders = de->sharers;
+  if (de->owner != -1) holders |= bit(de->owner);
+  holders &= ~bit(except);
+  for (std::uint64_t rest = holders; rest != 0; rest &= rest - 1) {
+    drop_from_l1(static_cast<CoreId>(std::countr_zero(rest)), line);
+  }
+  return holders != 0;
 }
 
 void MemorySystem::fill_l2_line(Addr line) {
@@ -75,23 +95,6 @@ void MemorySystem::fill_l2_line(Addr line) {
   }
 }
 
-void MemorySystem::fill_l1_line(CoreId core, Addr line, bool dirty) {
-  Cache& l1 = l1s_[static_cast<std::size_t>(core)];
-  // access() doubles as "touch if present": it refreshes recency and the
-  // dirty bit exactly as the old contains()+access() pair did, in one probe.
-  if (l1.access(line, dirty)) return;
-  Cache::Eviction ev = l1.fill(line, dirty);
-  if (ev.valid) {
-    // Writebacks land in the (inclusive) L2; bandwidth is not modelled.
-    if (DirEntry* de = dir_.find(ev.line)) {
-      de->sharers &= ~bit(core);
-      if (de->owner == core) de->owner = -1;
-      if (de->sharers == 0 && de->owner == -1) dir_.erase(ev.line);
-    }
-    if (drop_observer_) drop_observer_(core, ev.line);
-  }
-}
-
 Cycles MemorySystem::access(CoreId core, Addr addr, AccessType type,
                             AccessOptions opts) {
   const Addr line = line_of(addr);
@@ -100,21 +103,20 @@ Cycles MemorySystem::access(CoreId core, Addr addr, AccessType type,
   (write ? pc.stores : pc.loads)++;
 
   Cache& l1 = l1s_[static_cast<std::size_t>(core)];
-  DirEntry& de = dir_[line];  // default-constructed if absent
-
   if (l1.access(line, write)) {
     pc.l1_hits++;
+    // A read hit leaves the directory as it is, so it does not look.
+    if (!write) return cfg_.l1.hit_latency;
+    const DirEntry* de = dir_.find(line);
+    if (de != nullptr && de->owner == core) return cfg_.l1.hit_latency;
+    // Upgrade: invalidate the other sharers before writing.
+    pc.upgrades++;
     Cycles lat = cfg_.l1.hit_latency;
-    if (write && de.owner != core) {
-      // Upgrade: invalidate the other sharers before writing.
-      pc.upgrades++;
-      const bool had_remote = invalidate_copies(core, line);
-      if (had_remote) lat += cfg_.invalidate_latency;
-      // invalidate_copies may have erased the entry; re-establish ownership.
-      DirEntry& de2 = dir_[line];
-      de2.sharers = bit(core);
-      de2.owner = core;
-    }
+    if (invalidate_copies(core, line, de)) lat += cfg_.invalidate_latency;
+    // invalidate_copies may have erased the entry; re-establish ownership.
+    DirEntry& mine = dir_[line];
+    mine.sharers = bit(core);
+    mine.owner = core;
     return lat;
   }
 
@@ -122,67 +124,71 @@ Cycles MemorySystem::access(CoreId core, Addr addr, AccessType type,
   Cycles lat = cfg_.l1.hit_latency;  // tag probe before going down
 
   // Remote L1 holds the line modified: cache-to-cache forward.
-  if (de.owner != -1 && de.owner != core) {
+  DirEntry* de = dir_.find(line);
+  if (de != nullptr && de->owner != -1 && de->owner != core) {
     pc.remote_l1_fills++;
     lat += cfg_.remote_l1_latency;
-    const CoreId owner = de.owner;
+    const CoreId owner = de->owner;
     if (write) {
       drop_from_l1(owner, line);
     } else {
-      // Downgrade the owner to shared; its dirty data reaches the L2.
+      // Downgrade the owner to shared; its dirty data reaches the L2. The
+      // owner stays a sharer, so the entry stays live.
       l1s_[static_cast<std::size_t>(owner)].clean(line);
-      dir_[line].owner = -1;
+      de->owner = -1;
       fill_l2_line(line);
     }
   } else if (l2_.access(line, /*write=*/false)) {
     pc.l2_hits++;
     lat += cfg_.l2_hit_latency;
-    if (write) {
-      if (invalidate_copies(core, line)) lat += cfg_.invalidate_latency;
+    if (write && invalidate_copies(core, line, de)) {
+      lat += cfg_.invalidate_latency;
     }
   } else {
     pc.l2_misses++;
     lat += cfg_.l2_hit_latency;  // L2 lookup that missed
     lat += cfg_.dram_latency;
-    if (write && invalidate_copies(core, line)) lat += cfg_.invalidate_latency;
+    if (write && invalidate_copies(core, line, de)) {
+      lat += cfg_.invalidate_latency;
+    }
     fill_l2_line(line);
   }
 
   if (opts.fill_l1) {
-    fill_l1_line(core, line, write);
-    DirEntry& de2 = dir_[line];
+    fill_l1(core, line, write);
+    DirEntry& mine = dir_[line];
     if (write) {
-      de2.sharers = bit(core);
-      de2.owner = core;
+      mine.sharers = bit(core);
+      mine.owner = core;
     } else {
-      de2.sharers |= bit(core);
+      mine.sharers |= bit(core);
     }
-  } else {
-    // No-fill access: data is returned (reads) or written through to the
-    // L2 (writes; the O-structure hardware keeps the compressed line as the
-    // L1-resident copy instead). The line stays in L2 only.
-    if (write) l2_.access(line, /*write=*/true);
-    DirEntry& de2 = dir_[line];
-    if (de2.sharers == 0 && de2.owner == -1) dir_.erase(line);
+  } else if (write) {
+    // No-fill access: the line stays in the L2 only and the directory is
+    // not written. A read just returns the data; a write goes through to
+    // the L2 (the O-structure hardware keeps the compressed line as the
+    // L1-resident copy instead).
+    l2_.access(line, /*write=*/true);
   }
   return lat;
 }
 
 void MemorySystem::install_line(CoreId core, Addr addr, bool dirty) {
   const Addr line = line_of(addr);
-  fill_l1_line(core, line, dirty);
+  Cache& l1 = l1s_[static_cast<std::size_t>(core)];
+  // access() doubles as "touch if present": it refreshes recency and the
+  // dirty bit of a line the L1 already holds.
+  if (!l1.access(line, dirty)) fill_l1(core, line, dirty);
   DirEntry& de = dir_[line];
-  de.sharers |= std::uint64_t{1} << core;
+  de.sharers |= bit(core);
   if (dirty) de.owner = core;
 }
 
 Cycles MemorySystem::invalidate_others(CoreId except, Addr addr) {
   const Addr line = line_of(addr);
-  return invalidate_copies(except, line) ? cfg_.invalidate_latency : 0;
-}
-
-bool MemorySystem::line_in_l1(CoreId core, Addr addr) const {
-  return l1s_[static_cast<std::size_t>(core)].contains(line_of(addr));
+  return invalidate_copies(except, line, dir_.find(line))
+             ? cfg_.invalidate_latency
+             : 0;
 }
 
 void MemorySystem::flush_all() {

@@ -37,7 +37,9 @@ class MemorySystem {
  public:
   /// Registers the cache/* per-core counters in `reg`, backed by this
   /// object's packed counter block (counter_vec_external); this object and
-  /// the registry must share a lifetime (both live in the Machine).
+  /// the registry must share a lifetime (both live in the Machine). Throws
+  /// std::invalid_argument unless 1 <= cfg.num_cores <= 64: the directory
+  /// keeps each line's sharers in one 64-bit mask.
   MemorySystem(const MachineConfig& cfg, telemetry::MetricRegistry& reg);
 
   /// Perform one access and return its latency in cycles.
@@ -55,7 +57,9 @@ class MemorySystem {
   void install_line(CoreId core, Addr addr, bool dirty);
 
   /// True if `addr`'s line is resident in `core`'s L1.
-  bool line_in_l1(CoreId core, Addr addr) const;
+  bool line_in_l1(CoreId core, Addr addr) const {
+    return l1s_[static_cast<std::size_t>(core)].contains(addr);
+  }
 
   /// Observer invoked whenever a line leaves an L1 for any reason (eviction,
   /// upgrade-invalidation, back-invalidation). The O-structure manager uses
@@ -82,9 +86,15 @@ class MemorySystem {
   };
 
   void drop_from_l1(CoreId core, Addr line);
-  /// Invalidate all copies except `except`; returns true if any existed.
-  bool invalidate_copies(CoreId except, Addr line);
-  void fill_l1_line(CoreId core, Addr line, bool dirty);
+  /// Fill `line` into `core`'s L1, which must not hold it, and untrack the
+  /// line it evicts.
+  void fill_l1(CoreId core, Addr line, bool dirty);
+  /// Clear `core` from `line`'s directory entry, erasing the entry once it
+  /// is empty, and tell the drop observer. The line has left `core`'s L1.
+  void untrack(CoreId core, Addr line);
+  /// Invalidate all copies of `line` except `except`'s, given the line's
+  /// directory entry (nullptr if it has none); returns true if any existed.
+  bool invalidate_copies(CoreId except, Addr line, const DirEntry* de);
   void fill_l2_line(Addr line);
 
   MachineConfig cfg_;
@@ -100,8 +110,10 @@ class MemorySystem {
   std::vector<PerCoreCounters> counters_;  ///< fixed size; registry reads it
   std::vector<Cache> l1s_;
   Cache l2_;
-  /// Coherence directory, probed on every access: a flat open-addressed
-  /// map keyed by line address (see sim/flat_map.hpp).
+  /// Coherence directory: a flat open-addressed map keyed by line address
+  /// (see core/flat_map.hpp). An absent entry means what a default one
+  /// would (no sharers, no owner), and no entry is ever left at the
+  /// default. An L1 read hit does not touch it; see access().
   FlatMap<Addr, DirEntry> dir_;
   LineDropObserver drop_observer_;
 };

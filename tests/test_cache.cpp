@@ -66,6 +66,60 @@ TEST(Cache, EvictionReportsDirtyVictim) {
   EXPECT_TRUE(ev.dirty);
 }
 
+TEST(Cache, InvalidatedWayIsRefilledBeforeLruVictim) {
+  // Victim rule: the set's first invalid way by index, else the least
+  // recently used line. a, b and d share a set of the 2-way cache.
+  Cache c(small_cfg());
+  const Addr a = 0x0, b = 0x100, d = 0x200, e = 0x300;
+  c.fill(a, false);
+  c.fill(b, false);
+  c.access(b, false);  // a is the LRU line
+  EXPECT_TRUE(c.invalidate(b));
+  // The freed way takes d although a is older: nothing is evicted.
+  EXPECT_FALSE(c.fill(d, false).valid);
+  EXPECT_TRUE(c.contains(a));
+  EXPECT_TRUE(c.contains(d));
+  // The set is full again, so the next fill evicts the LRU line, a.
+  Cache::Eviction ev = c.fill(e, false);
+  ASSERT_TRUE(ev.valid);
+  EXPECT_EQ(ev.line, a);
+  // With both ways freed, two fills evict nothing and the third evicts the
+  // older of the two new lines.
+  EXPECT_TRUE(c.invalidate(d));
+  EXPECT_TRUE(c.invalidate(e));
+  EXPECT_FALSE(c.fill(a, false).valid);
+  EXPECT_FALSE(c.fill(b, false).valid);
+  c.access(a, false);
+  ev = c.fill(d, false);
+  ASSERT_TRUE(ev.valid);
+  EXPECT_EQ(ev.line, b);
+}
+
+TEST(Cache, LineZeroIsAValidTag) {
+  // Address 0 is an ordinary line: resident, dirty, evicted as line 0.
+  Cache c(small_cfg());
+  EXPECT_FALSE(c.contains(0));
+  EXPECT_FALSE(c.fill(0, false).valid);
+  EXPECT_TRUE(c.contains(0));
+  EXPECT_TRUE(c.contains(0x3f));
+  EXPECT_EQ(c.occupied_lines(), 1u);
+  EXPECT_FALSE(c.dirty(0));
+  EXPECT_TRUE(c.access(0, true));
+  EXPECT_TRUE(c.dirty(0));
+  c.fill(0x100, false);               // same set; line 0 is now the LRU
+  Cache::Eviction ev = c.fill(0x200, false);
+  ASSERT_TRUE(ev.valid);
+  EXPECT_EQ(ev.line, 0u);
+  EXPECT_TRUE(ev.dirty);
+  EXPECT_FALSE(c.contains(0));
+  // Filled again clean, then invalidated like any other line.
+  c.invalidate(0x100);
+  EXPECT_FALSE(c.fill(0, false).valid);
+  EXPECT_FALSE(c.dirty(0));
+  EXPECT_TRUE(c.invalidate(0));
+  EXPECT_FALSE(c.contains(0));
+}
+
 TEST(Cache, InvalidateRemovesLine) {
   Cache c(small_cfg());
   c.fill(0x40, true);

@@ -230,6 +230,62 @@ TEST(Machine, CoreCanBeRespawnedAfterCompletion) {
   EXPECT_EQ(m.elapsed(), 150u);
 }
 
+TEST(Machine, ClockBeyondRunQueueKeyRangeRaisesSimError) {
+  // The run-queue key packs the clock above a 6-bit core id, so a clock of
+  // 2^58 cycles or more cannot be ordered. Each way a key is made must
+  // fault rather than wrap around to an early time.
+  constexpr Cycles kLimit = Cycles{1} << 58;
+  {
+    // The running core's own key, compared against a queued core.
+    Machine m(cfg(2));
+    WaitList wl;
+    bool representable = false;
+    m.spawn(0, [&] {
+      mach().advance(10);
+      mach().sync_to_global_order();  // core 1 runs and parks
+      mach().advance(kLimit - 11);
+      mach().wake_all(wl, 0);  // core 1 queued at 2^58 - 1
+      mach().sync_to_global_order();
+      representable = true;
+      mach().advance(1);
+      mach().sync_to_global_order();
+      ADD_FAILURE() << "a clock of 2^58 was ordered";
+    });
+    m.spawn(1, [&] { mach().block_on(wl); });
+    try {
+      m.run();
+      FAIL() << "expected SimError";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("2^58"), std::string::npos);
+    }
+    EXPECT_TRUE(representable);
+  }
+  {
+    // A woken core re-queued at 2^58.
+    Machine m(cfg(2));
+    WaitList wl;
+    m.spawn(0, [&] { mach().block_on(wl); });
+    m.spawn(1, [&] {
+      mach().advance(1);
+      mach().sync_to_global_order();
+      mach().wake_all(wl, kLimit);
+    });
+    EXPECT_THROW(m.run(), SimError);
+  }
+  {
+    // A core respawned after its clock passed the bound.
+    Machine m(cfg(1));
+    m.spawn(0, [&] { mach().advance(kLimit); });
+    m.run();
+    EXPECT_THROW(m.spawn(0, [] {}), SimError);
+  }
+}
+
+TEST(Machine, RejectsMoreCoresThanTheSharerMaskHolds) {
+  EXPECT_THROW(Machine(cfg(65)), std::invalid_argument);
+  EXPECT_NO_THROW(Machine(cfg(64)));
+}
+
 TEST(Machine, SharedCounterInterleavingIsTimestampOrdered) {
   // Two cores increment a shared counter at interleaved timestamps; the
   // final value must equal the sum (no lost updates are possible because

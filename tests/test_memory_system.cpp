@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -173,6 +175,121 @@ TEST(MemorySystem, FlushAllEmptiesHierarchy) {
   EXPECT_FALSE(f.ms.line_in_l1(0, 0x7000));
   const Cycles lat = f.ms.access(0, 0x7000, AccessType::kRead);
   EXPECT_EQ(lat, f.c.l1.hit_latency + f.c.l2_hit_latency + f.c.dram_latency);
+}
+
+TEST(MemorySystem, RejectsCoreCountsOutsideTheSharerMask) {
+  // The directory keeps sharers in a 64-bit mask: core 64 would alias core
+  // 0's bit, so a 65-core hierarchy must be refused, not built.
+  for (int cores : {0, -1, 65, 128}) {
+    telemetry::MetricRegistry reg(cores > 0 ? cores : 1);
+    EXPECT_THROW(MemorySystem(cfg(cores), reg), std::invalid_argument)
+        << cores;
+  }
+}
+
+TEST(MemorySystem, HighestCoreKeepsItsOwnSharerBit) {
+  // With 64 cores, core 63's eviction must leave core 0's copy tracked, so
+  // a later write by core 1 still invalidates it.
+  Fixture f(64);
+  const Addr x = 0x8000;
+  f.ms.access(0, x, AccessType::kRead);
+  f.ms.access(63, x, AccessType::kRead);
+  const std::size_t lines = 2 * f.c.l1.size_bytes / kLineBytes;
+  for (std::size_t i = 1; i <= lines; ++i) {  // evict x from core 63's L1
+    f.ms.access(63, x + static_cast<Addr>(i) * kLineBytes, AccessType::kRead);
+  }
+  ASSERT_FALSE(f.ms.line_in_l1(63, x));
+  ASSERT_TRUE(f.ms.line_in_l1(0, x));
+  f.ms.access(1, x, AccessType::kWrite);
+  EXPECT_FALSE(f.ms.line_in_l1(0, x));
+  const Cycles lat = f.ms.access(0, x, AccessType::kRead);
+  EXPECT_EQ(lat, f.c.l1.hit_latency + f.c.remote_l1_latency);
+}
+
+TEST(MemorySystem, RandomTraceMatchesRecordedLatencies) {
+  // A seeded mix of every public operation on 8 cores whose caches are tiny
+  // (8-line L1s; a 24-line, 6-set L2 over a 64-line pool), so L1 evictions,
+  // L2 evictions with back-invalidation, forwards, upgrades and
+  // install_line's ownership paths all fire. Every returned latency, every
+  // line drop (in order) and the final counters and L1 contents are hashed
+  // and compared with a recorded value: any change of what the hierarchy
+  // decides fails the test.
+  constexpr int kCores = 8;
+  constexpr std::uint64_t kLines = 64;
+  MachineConfig c;
+  c.num_cores = kCores;
+  c.l1 = CacheConfig{4 * 2 * kLineBytes, 2, kLineBytes, 4};  // 4 sets x 2
+  c.l2_per_core_bytes = 3 * kLineBytes;  // 24 lines, 4-way: 6 sets
+  c.l2_ways = 4;
+  telemetry::MetricRegistry reg(kCores);
+  MemorySystem ms(c, reg);
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a over 64-bit words
+  auto mix = [&hash](std::uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ull;
+  };
+  std::uint64_t drops = 0;
+  ms.set_line_drop_observer([&](CoreId core, Addr line) {
+    ++drops;
+    mix(static_cast<std::uint64_t>(core));
+    mix(line);
+  });
+  std::uint64_t rng = 0x0123456789ABCDEFull;
+  auto next = [&rng] {  // splitmix64
+    std::uint64_t z = (rng += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t r = next();
+    const auto core = static_cast<CoreId>(r % kCores);
+    // Line 0 is in the pool; the offset exercises line_of().
+    const Addr addr = ((r >> 8) % kLines) * kLineBytes + (r >> 16) % 64;
+    AccessOptions opts;
+    switch ((r >> 24) % 8) {
+      case 0:
+      case 1:
+        mix(ms.access(core, addr, AccessType::kRead));
+        break;
+      case 2:
+        mix(ms.access(core, addr, AccessType::kWrite));
+        break;
+      case 3:
+        opts.fill_l1 = false;
+        mix(ms.access(core, addr, AccessType::kRead, opts));
+        break;
+      case 4:
+        opts.fill_l1 = false;
+        mix(ms.access(core, addr, AccessType::kWrite, opts));
+        break;
+      case 5:
+        ms.install_line(core, addr, ((r >> 32) & 1) != 0);
+        break;
+      case 6:
+        mix(ms.invalidate_others(core, addr));
+        break;
+      case 7:
+        mix(ms.line_in_l1(core, addr) ? 1 : 0);
+        break;
+    }
+  }
+  for (const char* name : {"loads", "stores", "l1_hits", "l1_misses",
+                           "l2_hits", "l2_misses", "remote_l1_fills",
+                           "upgrades"}) {
+    for (CoreId core = 0; core < kCores; ++core) {
+      mix(reg.value(telemetry::Component::kCache, name, core));
+    }
+  }
+  for (CoreId core = 0; core < kCores; ++core) {
+    for (std::uint64_t l = 0; l < kLines; ++l) {
+      mix(ms.line_in_l1(core, l * kLineBytes) ? 1 : 0);
+    }
+  }
+  // The trace overflows the L2 many times over.
+  EXPECT_GT(reg.total(telemetry::Component::kCache, "l2_misses"), 1000u);
+  EXPECT_GT(drops, 1000u);
+  EXPECT_EQ(hash, 16050611119444643457ull);
 }
 
 TEST(MemorySystem, SyntheticRegionsDoNotAliasHostHeap) {
