@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
   using namespace osim;
   using namespace osim::bench;
   const Options opt = Options::parse(argc, argv);
-  require_inline_exec(opt, argv[0]);
   require_paper_gc(opt, argv[0]);
   const Scale scale = opt.scale;
   Driver driver("fig10_latency", opt);

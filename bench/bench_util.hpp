@@ -3,6 +3,7 @@
 // and aligned table printing.
 #pragma once
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,12 +55,6 @@ struct Options {
   /// speed. Benches whose figures are *about* simulated time reject
   /// kFunctional after parsing.
   BackendKind backend = BackendKind::kTimed;
-  /// How the functional backend executes: inline (default; deterministic
-  /// in-order) or concurrent (real host threads on the thread-safe
-  /// engine). Only benches built for it accept --exec=concurrent, and it
-  /// requires --backend=functional; everyone else rejects it after parsing
-  /// (require_inline_exec).
-  ExecKind exec = ExecKind::kInline;
   /// Reclamation policy for every cell (the GcPolicy seam,
   /// core/gc_policy.hpp). Benches whose figures reproduce the paper's
   /// collector reject kBounded after parsing (require_paper_gc); only the
@@ -70,16 +65,13 @@ struct Options {
   /// Injection never charges simulated cycles, so "--inject none" (an
   /// attached but inert injector) is bit-identical to no flag at all.
   std::string inject_spec;
-  /// Blocked-op timeout for --exec=concurrent cells before the engine
-  /// faults kWouldBlock (the concurrent deadlock report).
-  std::uint64_t deadlock_timeout_ms = 10000;
 
   [[noreturn]] static void usage(const char* argv0, int exit_code) {
     std::fprintf(
         stderr,
         "usage: %s [--quick | --full] [--threads N] [--json PATH] "
         "[--trace PATH] [--check[=strict]] [--backend=timed|functional]\n"
-        "          [--exec=inline|concurrent] [--gc=paper|bounded]\n"
+        "          [--gc=paper|bounded]\n"
         "  --quick      smoke-test scale (0.25x ops)\n"
         "  --full       paper-sized runs (4x ops)\n"
         "  --threads N  run experiment cells on N host threads\n"
@@ -96,11 +88,6 @@ struct Options {
         "  --backend=timed       cycle-accurate simulation (default)\n"
         "  --backend=functional  host-speed semantic execution; cells\n"
         "               report logical op counts instead of cycles\n"
-        "  --exec=inline      in-order execution on one host thread\n"
-        "               (default)\n"
-        "  --exec=concurrent  truly parallel execution on real host\n"
-        "               threads (requires --backend=functional; only\n"
-        "               benches built for it accept the flag)\n"
         "  --gc=paper   the paper's watermark/fence collector (default)\n"
         "  --gc=bounded bounded-space range-tracking reclamation; only\n"
         "               the policy-comparison bench (bench_gc_overhead)\n"
@@ -108,9 +95,7 @@ struct Options {
         "               paper's collector and pin --gc=paper\n"
         "  --inject SPEC  deterministic fault injection for every cell\n"
         "               (e.g. pool:0.001,deadlock@3,seed=7; see\n"
-        "               core/fault_injection.hpp for the grammar)\n"
-        "  --deadlock-timeout-ms N  blocked-op timeout for\n"
-        "               --exec=concurrent cells (default 10000)\n",
+        "               core/fault_injection.hpp for the grammar)\n",
         argv0);
     std::exit(exit_code);
   }
@@ -129,12 +114,13 @@ struct Options {
           usage(argv[0], 2);
         }
         char* end = nullptr;
-        o.threads = static_cast<int>(std::strtol(argv[i], &end, 10));
-        if (end == argv[i] || *end != '\0' || o.threads < 0) {
+        const long long n = std::strtoll(argv[i], &end, 10);
+        if (end == argv[i] || *end != '\0' || n < 0 || n > INT_MAX) {
           std::fprintf(stderr, "%s: bad --threads value '%s'\n", argv[0],
                        argv[i]);
           usage(argv[0], 2);
         }
+        o.threads = static_cast<int>(n);
       } else if (std::strcmp(a, "--json") == 0) {
         if (++i >= argc) {
           std::fprintf(stderr, "%s: --json needs a path\n", argv[0]);
@@ -161,16 +147,6 @@ struct Options {
                      "--backend=functional)\n",
                      argv[0], a);
         usage(argv[0], 2);
-      } else if (std::strcmp(a, "--exec=inline") == 0) {
-        o.exec = ExecKind::kInline;
-      } else if (std::strcmp(a, "--exec=concurrent") == 0) {
-        o.exec = ExecKind::kConcurrent;
-      } else if (std::strncmp(a, "--exec", 6) == 0) {
-        std::fprintf(stderr,
-                     "%s: bad exec mode '%s' (use --exec=inline or "
-                     "--exec=concurrent)\n",
-                     argv[0], a);
-        usage(argv[0], 2);
       } else if (std::strcmp(a, "--inject") == 0) {
         if (++i >= argc) {
           std::fprintf(stderr, "%s: --inject needs a spec\n", argv[0]);
@@ -183,20 +159,6 @@ struct Options {
           std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
           usage(argv[0], 2);
         }
-      } else if (std::strcmp(a, "--deadlock-timeout-ms") == 0) {
-        if (++i >= argc) {
-          std::fprintf(stderr, "%s: --deadlock-timeout-ms needs a value\n",
-                       argv[0]);
-          usage(argv[0], 2);
-        }
-        char* end = nullptr;
-        const long long ms = std::strtoll(argv[i], &end, 10);
-        if (end == argv[i] || *end != '\0' || ms <= 0) {
-          std::fprintf(stderr, "%s: bad --deadlock-timeout-ms value '%s'\n",
-                       argv[0], argv[i]);
-          usage(argv[0], 2);
-        }
-        o.deadlock_timeout_ms = static_cast<std::uint64_t>(ms);
       } else if (std::strcmp(a, "--gc=paper") == 0) {
         o.gc = GcPolicyKind::kPaper;
       } else if (std::strcmp(a, "--gc=bounded") == 0) {
@@ -217,20 +179,6 @@ struct Options {
     return o;
   }
 };
-
-/// Reject --exec=concurrent on a bench that has no concurrent section.
-/// Called by every bench main right after parse; the two benches that *do*
-/// run concurrently skip it and validate the backend pairing themselves.
-inline void require_inline_exec(const Options& o, const char* argv0) {
-  if (o.exec != ExecKind::kInline) {
-    std::fprintf(stderr,
-                 "%s: this bench is timed-only; --exec=concurrent is only "
-                 "accepted by benches with a concurrent section "
-                 "(bench_backend_throughput)\n",
-                 argv0);
-    std::exit(2);
-  }
-}
 
 /// Reject --gc=bounded on a bench whose figures reproduce the paper's
 /// collector (the simulated cycles are only comparable against the paper

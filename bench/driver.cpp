@@ -236,13 +236,7 @@ int Driver::finish() {
       jc["cycles"] = Json::number(static_cast<std::uint64_t>(c.result.cycles));
       jc["checksum"] = Json::number(c.result.checksum);
       jc["wall_seconds"] = Json::number(c.result.wall_seconds);
-      if (!c.result.exec.empty()) {
-        jc["exec"] = Json::string(c.result.exec);
-        jc["ops"] = Json::number(c.result.ops);
-        jc["work_seconds"] = Json::number(c.result.work_seconds);
-        jc["conc_threads"] =
-            Json::number(static_cast<std::uint64_t>(c.result.conc_threads));
-      }
+      if (c.result.ops != 0) jc["ops"] = Json::number(c.result.ops);
       if (!c.result.metrics.is_null()) jc["metrics"] = c.result.metrics;
       if (c.result.checked) jc["check"] = c.result.check;
       cells.push_back(std::move(jc));

@@ -40,19 +40,13 @@ struct CellResult {
   /// records the cell Env's own backend, so mixed-backend benches label
   /// each cell correctly. Empty = fall back to the bench-wide --backend.
   std::string backend;
-  /// Execution mode of the cell ("inline" / "concurrent"); empty = inline.
-  std::string exec;
   /// GC policy behind the cell ("paper" / "bounded"); cell_result records
   /// the cell Env's own policy, so policy-comparison benches label each
   /// cell correctly. Empty = fall back to the bench-wide --gc.
   std::string gc;
-  /// Concurrent cells: versioned ISA ops executed, measured host seconds of
-  /// the parallel section, and worker-thread count. ops/work_seconds is the
-  /// throughput the scaling tables report; wall_seconds also covers cell
-  /// setup, so it is not the number to divide by.
+  /// Versioned ISA ops the cell issued, for cells that count them
+  /// (osim-chaos rounds); 0 = not recorded.
   std::uint64_t ops = 0;
-  double work_seconds = 0.0;
-  int conc_threads = 0;
   /// Registry snapshot for the cell's machine (counters by "component/name",
   /// per-core vectors, histograms); lands in the JSON cell record.
   Json metrics;

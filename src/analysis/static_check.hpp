@@ -25,7 +25,7 @@ namespace osim::analysis {
 /// One abstract versioned op — the op record of the VersionEngine facade
 /// (core/version_engine.hpp), which owns the field definitions. The alias
 /// keeps the analysis-layer spelling while letting the same streams drive
-/// static_check() and VersionEngine::execute().
+/// static_check() and the tests' op-stream driver (tests/engine_exec.hpp).
 using VOp = ::osim::VersionEngine::Op;
 
 /// Run the static pass over `ops`; returns findings (empty = clean).

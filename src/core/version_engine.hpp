@@ -12,11 +12,11 @@
 // (bench driver, chaos harness, differential tests) bind to it without
 // knowing which engine they drive.
 //
-// execute() is a test driver, not a fast path: it runs an op stream (the
-// record the workload generators emit; analysis::VOp aliases
-// VersionEngine::Op) through the per-op virtuals, catching each op's fault
-// into Results and continuing. The conformance matrix and the differential
-// tests run every engine through it and compare the Results.
+// The facade also defines Op, the record of one versioned op: the workload
+// generators emit it and analysis::VOp aliases it. Running an op stream
+// through the per-op virtuals is test support (tests/engine_exec.hpp),
+// where the conformance matrix and the differential tests drive every
+// engine and compare the observables.
 //
 // Layering (enforced by tools/run-lint.sh): core/ depends on telemetry/
 // and itself only — never on runtime/, sim/, bench/, or analysis/. The
@@ -25,9 +25,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <string>
-#include <vector>
 
 #include "core/fault.hpp"
 #include "core/isa.hpp"
@@ -68,12 +65,12 @@ struct RecoveryStats {
 
 class VersionEngine {
  public:
-  /// One abstract versioned op — the record execute() runs and the
-  /// workload generators emit (analysis::VOp aliases this type). `version`
-  /// is the exact version stored, loaded, or locked (the task id for
-  /// TASK-BEGIN/END); `cap` is the bound of the *-LATEST forms; `rename_to`
-  /// is UNLOCK-VERSION's optional new version; `data` is STORE-VERSION's
-  /// payload (ignored by the static checker).
+  /// One abstract versioned op — the record the workload generators emit
+  /// and the tests' op-stream driver runs (analysis::VOp aliases this
+  /// type). `version` is the exact version stored, loaded, or locked (the
+  /// task id for TASK-BEGIN/END); `cap` is the bound of the *-LATEST forms;
+  /// `rename_to` is UNLOCK-VERSION's optional new version; `data` is
+  /// STORE-VERSION's payload (ignored by the static checker).
   struct Op {
     OpCode op{};
     Addr addr = 0;
@@ -82,43 +79,6 @@ class VersionEngine {
     TaskId task = 0;
     std::optional<Ver> rename_to;
     std::uint64_t data = 0;
-  };
-
-  /// Observable outcome of an executed op stream. Two runs are equivalent
-  /// iff their Results compare equal field-for-field (messages excepted:
-  /// the engines word their would-block reports differently, so equality
-  /// compares fault positions and kinds only).
-  struct Results {
-    struct Fault {
-      std::size_t index = 0;  ///< stream index of the faulted op
-      FaultKind kind{};
-      std::string message;  ///< engine wording; excluded from operator==
-
-      friend bool operator==(const Fault& a, const Fault& b) {
-        return a.index == b.index && a.kind == b.kind;
-      }
-    };
-
-    std::vector<std::uint64_t> reads;  ///< one value per completed load
-    std::vector<Ver> found;            ///< version observed per *-LATEST
-    std::vector<Fault> faults;         ///< per-op faults, stream order
-    std::uint64_t executed = 0;        ///< ops completed without fault
-
-    void clear() {
-      reads.clear();
-      found.clear();
-      faults.clear();
-      executed = 0;
-    }
-
-    /// Order-sensitive fold of every observable (for cross-engine
-    /// checksum comparisons).
-    std::uint64_t checksum() const;
-
-    friend bool operator==(const Results& a, const Results& b) {
-      return a.reads == b.reads && a.found == b.found &&
-             a.faults == b.faults && a.executed == b.executed;
-    }
   };
 
   virtual ~VersionEngine() = default;
@@ -172,14 +132,6 @@ class VersionEngine {
   /// Attach an externally owned injector (tests/tools); replaces any
   /// config-built one at every engine site. Call before ISA ops run.
   virtual void attach_fault_injector(FaultInjector* inj) = 0;
-
-  // ---- Op-stream execution (test driver) ----
-  /// Execute `ops` in order through the per-op surface. An OFault fails
-  /// only the op that raised it — it is recorded in `out.faults` and
-  /// execution continues with the next op. Results are appended (call
-  /// out.clear() for a fresh run). Non-virtual: the loop *is* the facade
-  /// contract, identical over every engine.
-  void execute(std::span<const Op> ops, Results& out);
 };
 
 }  // namespace osim

@@ -1,4 +1,4 @@
-// Work-stealing task pool over real host threads (--exec=concurrent).
+// Work-stealing task pool over real host threads.
 //
 // TaskRuntime (runtime/task.hpp) executes tasks either on simulated fibers
 // (timed backend) or inline in creation order (functional backend); both
@@ -70,10 +70,7 @@ class ConcurrentTaskPool {
   ConcurrentTaskPool(ConcurrentVersionStore& store, int workers)
       : store_(store), workers_(workers < 1 ? 1 : workers) {}
 
-  int workers() const { return workers_; }
-
   void set_retry_policy(RetryPolicy p) { retry_ = p; }
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   RecoveryStats recovery_stats() const {
     RecoveryStats s;
@@ -92,13 +89,10 @@ class ConcurrentTaskPool {
     tasks_.emplace_back(tid, std::move(fn));
   }
 
-  /// Setup run on the calling thread before the workers start. Optional.
-  void set_setup(std::function<void()> fn) { setup_ = std::move(fn); }
-
   /// Run every task to completion on `workers` host threads. Returns the
-  /// measured wall-clock seconds from after setup to the last join. A fault
-  /// on any worker stops the run (parked ops unwind) and rethrows as
-  /// SimError, matching the other backends' reporting.
+  /// measured wall-clock seconds from just before the workers start to the
+  /// last join. A fault on any worker stops the run (parked ops unwind) and
+  /// rethrows as SimError, matching the other backends' reporting.
   double run() {
     struct Queue {
       std::vector<std::pair<TaskId, TaskFn>*> items;
@@ -110,8 +104,6 @@ class ConcurrentTaskPool {
     for (auto& t : tasks_) {
       queues[t.first % queues.size()].items.push_back(&t);
     }
-
-    if (setup_) setup_();
 
     std::mutex err_mu;
     std::exception_ptr first_error;
@@ -214,7 +206,6 @@ class ConcurrentTaskPool {
   ConcurrentVersionStore& store_;
   int workers_;
   std::vector<std::pair<TaskId, TaskFn>> tasks_;
-  std::function<void()> setup_;
   RetryPolicy retry_;
   std::atomic<std::uint64_t> aborts_{0};
   std::atomic<std::uint64_t> retries_{0};

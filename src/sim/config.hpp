@@ -38,19 +38,6 @@ inline const char* to_string(BackendKind b) {
   return b == BackendKind::kFunctional ? "functional" : "timed";
 }
 
-/// How the functional backend executes tasks.
-///   kInline      spawn-order in-order execution on one host thread (the
-///                default; deterministic, fault-on-would-block).
-///   kConcurrent  the thread-safe ConcurrentVersionStore engine driven by a
-///                work-stealing pool of real host threads (blocking ops
-///                spin-then-park instead of faulting). Only benches built
-///                for it accept the flag; it requires --backend=functional.
-enum class ExecKind { kInline, kConcurrent };
-
-inline const char* to_string(ExecKind e) {
-  return e == ExecKind::kConcurrent ? "concurrent" : "inline";
-}
-
 /// Whole-machine configuration (Table II defaults).
 struct MachineConfig {
   int num_cores = 1;

@@ -17,6 +17,7 @@
 #include "analysis/checker.hpp"
 #include "core/concurrent_store.hpp"
 #include "core/version_engine.hpp"
+#include "engine_exec.hpp"
 #include "runtime/concurrent.hpp"
 #include "runtime/env.hpp"
 #include "runtime/task.hpp"
@@ -170,7 +171,7 @@ Stream make_stream(int slots, int tasks, std::uint64_t seed,
 }
 
 /// One lowered step of a task body: either a facade op record destined
-/// for VersionEngine::execute(), or a conventional-access probe (the one
+/// for execute() (engine_exec.hpp), or a conventional-access probe (the one
 /// PlannedOp with no versioned-ISA encoding, issued between batches).
 struct LoweredItem {
   bool conventional = false;
@@ -260,14 +261,14 @@ void exec_program(VersionEngine& st, const std::vector<LoweredItem>& prog,
                   std::vector<std::uint64_t>& reads, std::vector<Ver>& found,
                   std::vector<int>& faults) {
   std::vector<VersionEngine::Op> batch;
-  VersionEngine::Results res;
+  Results res;
   auto flush = [&] {
     if (batch.empty()) return;
     res.clear();
-    st.execute(batch, res);
+    execute(st, batch, res);
     reads.insert(reads.end(), res.reads.begin(), res.reads.end());
     found.insert(found.end(), res.found.begin(), res.found.end());
-    for (const VersionEngine::Results::Fault& f : res.faults) {
+    for (const Results::Fault& f : res.faults) {
       faults.push_back(static_cast<int>(f.kind));
     }
     batch.clear();
@@ -375,9 +376,9 @@ Observed run_stream(const Stream& st, BackendKind backend, int cores,
   return o;
 }
 
-/// The same planned stream on the concurrent engine (--exec=concurrent's
-/// machinery): ConcurrentVersionStore driven by a work-stealing pool of
-/// real host threads, with the strict checker riding the store's tracer.
+/// The same planned stream on the concurrent engine: ConcurrentVersionStore
+/// driven by a work-stealing pool of real host threads, with the strict
+/// checker riding the store's tracer.
 /// Streams are determinate under any legal schedule (see PlannedOp), so the
 /// observation must match the timed backend's exactly.
 Observed run_stream_concurrent(const Stream& st, int threads,
@@ -674,8 +675,8 @@ TEST(BackendDiff, FunctionalWouldBlockFault) {
     op.op = OpCode::kLoadVersion;
     op.addr = a;
     op.version = kGhostVersion;
-    VersionEngine::Results res;
-    env.engine().execute({&op, 1}, res);
+    Results res;
+    execute(env.engine(), {&op, 1}, res);
     if (res.faults.size() == 1) {
       faulted = res.faults.front().kind == FaultKind::kWouldBlock;
       message = res.faults.front().message;

@@ -1,13 +1,14 @@
 // Stress and correctness tests for the thread-safe engine
-// (core/concurrent_store.hpp): final-state equivalence against a
-// single-threaded replay, mutual exclusion through version locks, seqlock
-// torn-read detection, reclamation under concurrent optimistic readers,
-// and the deadlock fault diagnostics. tools/run-sanitizers.sh runs this
+// (core/concurrent_store.hpp): final-state equivalence across worker
+// counts, mutual exclusion through version locks, seqlock torn-read
+// detection, reclamation under concurrent optimistic readers, and the
+// deadlock fault diagnostics. tools/run-sanitizers.sh runs this
 // binary under TSan — the seqlock and epoch machinery is designed to be
 // data-race-free at the C++ memory-model level, not merely "works on
 // x86".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -71,6 +72,45 @@ PlannedStream plan_stream(int t, int nthreads, int nops,
   return st;
 }
 
+/// The global-script input: ONE op stream, generated once for every worker
+/// count and split round-robin into one stream per worker. Slots are
+/// Zipf(1.0)-hot, half the ops are stores with globally unique versions
+/// (dense from 2), and each read is LOAD-VERSION of the latest scripted
+/// store on its slot (setup version 1 before the first). That store may
+/// belong to another worker that has not issued it yet, so reads wait on
+/// other workers' stores.
+std::vector<PlannedStream> plan_script(int workers, int nops,
+                                       std::uint64_t nslots) {
+  std::vector<double> cum(nslots);  // Zipf(1.0) cumulative weights
+  double total = 0;
+  for (std::uint64_t i = 0; i < nslots; ++i) {
+    total += 1.0 / static_cast<double>(i + 1);
+    cum[i] = total;
+  }
+  std::vector<PlannedStream> streams(static_cast<std::size_t>(workers));
+  std::vector<Ver> last_store(nslots, 1);
+  Ver next_version = 2;
+  std::uint64_t seed = 0xD00DF00Dull;
+  for (int j = 0; j < nops; ++j) {
+    // u <= total == cum.back(), so the slot index stays below nslots.
+    const double u =
+        static_cast<double>(mix64(seed) >> 11) * 0x1p-53 * total;
+    PlannedStream::Op op;
+    op.slot = static_cast<std::uint64_t>(
+        std::lower_bound(cum.begin(), cum.end(), u) - cum.begin());
+    if (mix64(seed) % 2 == 0) {
+      op.store_version = next_version++;
+      op.read_version = 0;
+      last_store[op.slot] = op.store_version;
+    } else {
+      op.store_version = 0;
+      op.read_version = last_store[op.slot];
+    }
+    streams[static_cast<std::size_t>(j % workers)].ops.push_back(op);
+  }
+  return streams;
+}
+
 /// Runs the streams on `workers` host threads. Read results are validated
 /// against data_for() via an atomic mismatch counter rather than gtest
 /// assertions: ASSERT/EXPECT are only safe on the main thread, so worker
@@ -100,9 +140,37 @@ std::uint64_t run_streams(ConcurrentVersionStore& store, OAddr base,
   return mismatches.load(std::memory_order_relaxed);
 }
 
+using SlotStates = std::vector<std::vector<std::pair<Ver, std::uint64_t>>>;
+
+/// Final state of running `streams` on `workers` host threads against a
+/// fresh store whose slots all hold setup version 1: every slot's live
+/// versions. Every load is checked against its version's data.
+SlotStates final_state(const std::vector<PlannedStream>& streams, int workers,
+                       std::uint64_t nslots) {
+  ConcurrencyConfig cfg;
+  // A read may wait on another worker's store for as long as that worker
+  // is descheduled; on an oversubscribed or TSan-slowed host give it real
+  // room before the engine declares deadlock.
+  cfg.deadlock_timeout_ms = 10000;
+  ConcurrentVersionStore store(cfg);
+  const OAddr base = store.alloc(nslots);
+  for (std::uint64_t s = 0; s < nslots; ++s) {
+    store.store_version(base + 8 * s, 1, data_for(1, s));
+  }
+  EXPECT_EQ(run_streams(store, base, streams, workers), 0u)
+      << "loads returned wrong data at " << workers << " worker(s)";
+  SlotStates state;
+  for (std::uint64_t s = 0; s < nslots; ++s) {
+    state.push_back(store.slot_versions(base + 8 * s));
+  }
+  return state;
+}
+
 // The parallel engine must produce exactly the final O-structure state of a
-// single-threaded replay of the same streams: the store *set* determines
-// the state, not the interleaving.
+// single-threaded replay of the same ops: the store *set* determines the
+// state, not the interleaving. Two inputs: per-thread streams whose reads
+// name the reading thread's own earlier stores (they never block), and the
+// global script, whose reads wait on other workers' stores.
 TEST(ConcurrentStore, FinalStateMatchesSerialReplay) {
   constexpr int kThreads = 8;
   constexpr int kOps = 2000;
@@ -111,22 +179,19 @@ TEST(ConcurrentStore, FinalStateMatchesSerialReplay) {
   for (int t = 0; t < kThreads; ++t) {
     streams.push_back(plan_stream(t, kThreads, kOps, kSlots));
   }
+  EXPECT_EQ(final_state(streams, kThreads, kSlots),
+            final_state(streams, /*workers=*/1, kSlots));
 
-  ConcurrentVersionStore parallel;
-  const OAddr pb = parallel.alloc(kSlots);
-  EXPECT_EQ(run_streams(parallel, pb, streams, kThreads), 0u);
-
-  ConcurrentVersionStore serial;
-  const OAddr sb = serial.alloc(kSlots);
-  EXPECT_EQ(run_streams(serial, sb, streams, /*workers=*/1), 0u);
-
-  for (std::uint64_t s = 0; s < kSlots; ++s) {
-    EXPECT_EQ(parallel.slot_versions(pb + 8 * s),
-              serial.slot_versions(sb + 8 * s))
-        << "slot " << s;
+  constexpr int kScriptOps = 20000;
+  constexpr std::uint64_t kScriptSlots = 512;
+  const SlotStates serial =
+      final_state(plan_script(1, kScriptOps, kScriptSlots), 1, kScriptSlots);
+  for (const int workers : {2, 4, 8}) {
+    EXPECT_EQ(final_state(plan_script(workers, kScriptOps, kScriptSlots),
+                          workers, kScriptSlots),
+              serial)
+        << workers << " workers";
   }
-  const auto stats = parallel.stats();
-  EXPECT_EQ(stats.stores, serial.stats().stores);
 }
 
 // Version locks must give real mutual exclusion across host threads: N

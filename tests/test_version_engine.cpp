@@ -1,5 +1,6 @@
 // VersionEngine conformance suite: ONE scripted op stream, executed purely
-// through the facade's execute(), across the full engine matrix
+// through the facade by execute() (engine_exec.hpp), across the full
+// engine matrix
 //   {serial timed, serial functional, concurrent}
 //     x {--gc=paper, --gc=bounded}
 //     x {--inject "" (detached), --inject none (attached-but-inert)}
@@ -20,6 +21,7 @@
 
 #include "core/concurrent_store.hpp"
 #include "core/version_engine.hpp"
+#include "engine_exec.hpp"
 #include "runtime/concurrent.hpp"
 #include "runtime/env.hpp"
 
@@ -130,7 +132,7 @@ std::vector<Op> conformance_program(OAddr base) {
 }
 
 struct RunOut {
-  VersionEngine::Results res;
+  Results res;
   /// newest version + its value per slot, read back through the facade.
   std::vector<std::pair<std::optional<Ver>, std::optional<std::uint64_t>>>
       latest;
@@ -150,9 +152,9 @@ RunOut run_conformance(VersionEngine& eng) {
   // exactly as one big batch would (fault indices are per-batch, which is
   // identical on every engine since the split point is).
   const std::size_t half = prog.size() / 2;
-  eng.execute(std::span<const Op>(prog.data(), half), out.res);
-  eng.execute(std::span<const Op>(prog.data() + half, prog.size() - half),
-              out.res);
+  execute(eng, std::span<const Op>(prog.data(), half), out.res);
+  execute(eng, std::span<const Op>(prog.data() + half, prog.size() - half),
+          out.res);
   for (std::size_t s = 0; s < kSlots; ++s) {
     const OAddr a = base + 8 * static_cast<OAddr>(s);
     const std::optional<Ver> newest = eng.newest_version(a);
@@ -269,7 +271,7 @@ TEST(VersionEngineConformanceConcurrent, ThreadedBatchesStayDeterminate) {
   cstore.store_version(shared, 1, 777);  // host-side setup
 
   ConcurrentTaskPool pool(cstore, 4);
-  std::vector<VersionEngine::Results> res(kTasks);
+  std::vector<Results> res(kTasks);
   for (int t = 0; t < kTasks; ++t) {
     const TaskId tid = static_cast<TaskId>(t + 1);
     const OAddr own = base + 8 * static_cast<OAddr>(t + 1);
@@ -280,7 +282,7 @@ TEST(VersionEngineConformanceConcurrent, ThreadedBatchesStayDeterminate) {
           load(own, static_cast<Ver>(tid)),
           load(shared, 1),
       };
-      cstore.execute(ops, res[static_cast<std::size_t>(t)]);
+      execute(cstore, ops, res[static_cast<std::size_t>(t)]);
     });
   }
   pool.run();

@@ -11,8 +11,9 @@
 //
 // After each round the harness asserts convergence, not absence of faults:
 //
-//   * the protocol checker (analysis/checker.hpp) saw no errors across the
-//     whole event stream, injected aborts included,
+//   * the protocol checker (analysis/checker.hpp) saw no errors and no
+//     warnings across the whole event stream, injected aborts included
+//     (protocol_verdict() has the one exception),
 //   * every store of a task that committed reads back with the right data,
 //   * every version created only by a task that gave up is absent,
 //   * the concurrent store's structural integrity check passes.
@@ -25,7 +26,7 @@
 // osim-report prints the degradation table from it.
 #include <algorithm>
 #include <array>
-#include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -123,8 +124,8 @@ std::uint64_t first_store_slot(std::uint64_t round_seed, TaskId t) {
 /// read of the *previous* task's first store (the one op that can block in
 /// the concurrent engine). `mine` is rebuilt from scratch on every attempt
 /// — a retry replays the exact same effects the abort undid. Takes the
-/// facade, not a template: per-op calls (rather than one execute() batch)
-/// are deliberate — a fault must unwind to the retry machinery mid-body.
+/// facade, not a template, and issues one call per op: a fault must unwind
+/// to the retry machinery mid-body.
 void run_body(VersionEngine& st, OAddr base, TaskId t,
               std::uint64_t round_seed, int ops, std::vector<Store3>& mine) {
   mine.clear();
@@ -182,10 +183,15 @@ bool recoverable(const OFault& f) {
          f.kind() == FaultKind::kResourceExhausted;
 }
 
+/// One commit flag per task, a byte each: the concurrent round's workers
+/// set their own tasks' flags at once, and distinct std::vector<bool>
+/// elements share memory locations.
+using CommitFlags = std::vector<std::uint8_t>;
+
 /// FNV over the committed (slot, version, data) triples in task order —
 /// comparable across engines when both converged without giveups.
 std::uint64_t committed_checksum(const std::vector<std::vector<Store3>>& per,
-                                 const std::vector<bool>& committed) {
+                                 const CommitFlags& committed) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (std::size_t t = 0; t < per.size(); ++t) {
     if (!committed[t]) continue;
@@ -210,11 +216,27 @@ void note(RoundResult& rr, const std::string& what) {
   if (rr.first_problem.empty()) rr.first_problem = what;
 }
 
+/// Record the checker's verdict on the round: any finding fails it,
+/// warnings included. The one exception is a concurrent round whose
+/// pool.run() unwound after a giveup (`gave_up_run`): the tasks that run
+/// never started stay created but unended, which the end-of-run pass
+/// reports as ST-TASK-PAIRING warnings, so that round fails on errors only.
+void protocol_verdict(RoundResult& rr, analysis::Checker& checker,
+                      bool gave_up_run) {
+  bench::fill_check(checker, rr.cell);
+  const std::uint64_t warnings = gave_up_run ? 0 : checker.warning_count();
+  if (checker.error_count() != 0 || warnings != 0) {
+    note(rr, "protocol checker found " +
+                 std::to_string(checker.error_count()) + " error(s), " +
+                 std::to_string(warnings) + " warning(s)");
+  }
+}
+
 /// Verify surviving state against the commit record through `peek`:
 /// committed stores present with the right data, giveup-only versions gone.
 template <typename Peek>
 void verify_state(RoundResult& rr, const std::vector<std::vector<Store3>>& per,
-                  const std::vector<bool>& committed, Peek&& peek) {
+                  const CommitFlags& committed, Peek&& peek) {
   for (std::size_t t = 0; t < per.size(); ++t) {
     for (const Store3& m : per[t]) {
       const std::optional<std::uint64_t> got = peek(m.slot, m.v);
@@ -238,8 +260,14 @@ RoundResult run_serial_round(const ChaosOptions& opt, std::uint64_t round_seed,
   telemetry::MetricRegistry reg(1);
   FunctionalTiming timing;
   OStructConfig ocfg;
-  ocfg.initial_pool_blocks = std::size_t{1} << 12;
-  ocfg.gc_watermark = 0;  // never auto-collect: every version stays probeable
+  // Every version stays probeable: the watermark never triggers a
+  // collection, and the pool never runs dry, because it holds the setup
+  // stores plus one version per op (an aborted attempt frees its blocks
+  // before the retry).
+  ocfg.initial_pool_blocks =
+      kSlots + static_cast<std::size_t>(opt.tasks) *
+                   static_cast<std::size_t>(opt.ops);
+  ocfg.gc_watermark = 0;
   ocfg.track_aborts = true;
   VersionStore vs(ocfg, 1, reg, timing);
   // Armed after setup (below): a fault during the setup stores has no
@@ -257,9 +285,8 @@ RoundResult run_serial_round(const ChaosOptions& opt, std::uint64_t round_seed,
 
   const std::size_t nt = static_cast<std::size_t>(opt.tasks);
   std::vector<std::vector<Store3>> per(nt + 1);
-  std::vector<bool> committed(nt + 1, false);
+  CommitFlags committed(nt + 1, 0);
   std::uint64_t retries = 0, giveups = 0;
-  const auto t0 = std::chrono::steady_clock::now();
   for (TaskId t = 1; t <= static_cast<TaskId>(opt.tasks); ++t) {
     vs.task_created(t);
     for (int attempt = 0;; ++attempt) {
@@ -267,7 +294,7 @@ RoundResult run_serial_round(const ChaosOptions& opt, std::uint64_t round_seed,
       try {
         run_body(vs, base, t, round_seed, opt.ops, per[t]);
         vs.task_end(t);
-        committed[t] = true;
+        committed[t] = 1;
         break;
       } catch (const OFault& f) {
         if (!recoverable(f)) throw;
@@ -283,22 +310,16 @@ RoundResult run_serial_round(const ChaosOptions& opt, std::uint64_t round_seed,
       }
     }
   }
-  const double work =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   verify_state(rr, per, committed, [&](std::uint64_t slot, Ver v) {
     return vs.peek_version(base + 8 * slot, v);
   });
-  bench::fill_check(checker->checker(), rr.cell);
-  if (rr.cell.check_errors != 0) note(rr, "protocol checker found errors");
+  protocol_verdict(rr, checker->checker(), /*gave_up_run=*/false);
 
   rr.giveups = giveups;
   rr.cell.backend = "functional";
-  rr.cell.exec = "inline";
   rr.cell.ops = static_cast<std::uint64_t>(opt.tasks) *
                 static_cast<std::uint64_t>(opt.ops);
-  rr.cell.work_seconds = work;
   rr.cell.checksum = giveups == 0 ? committed_checksum(per, committed) : 0;
   // Facade-level accounting: the same keys, from the same EngineStats
   // fields, as the concurrent round below — osim-report's degradation
@@ -343,7 +364,7 @@ RoundResult run_concurrent_round(const ChaosOptions& opt,
 
   const std::size_t nt = static_cast<std::size_t>(opt.tasks);
   std::vector<std::vector<Store3>> per(nt + 1);
-  std::vector<bool> committed(nt + 1, false);
+  CommitFlags committed(nt + 1, 0);
 
   ConcurrentTaskPool pool(store, opt.workers);
   ConcurrentTaskPool::RetryPolicy retry;
@@ -354,14 +375,13 @@ RoundResult run_concurrent_round(const ChaosOptions& opt,
   for (TaskId t = 1; t <= static_cast<TaskId>(opt.tasks); ++t) {
     pool.create_task(t, [&, t](TaskId) {
       run_body(store, base, t, round_seed, opt.ops, per[t]);
-      committed[t] = true;
+      committed[t] = 1;
     });
   }
-  double work = 0.0;
   bool run_failed = false;
   std::string run_error;
   try {
-    work = pool.run();
+    pool.run();
   } catch (const std::exception& e) {
     // A task past its retry cap unwinds the run — degraded, not corrupted:
     // every incomplete task was rolled back on its way out, which is
@@ -375,18 +395,16 @@ RoundResult run_concurrent_round(const ChaosOptions& opt,
   verify_state(rr, per, committed, [&](std::uint64_t slot, Ver v) {
     return store.peek_version(base + 8 * slot, v);
   });
-  bench::fill_check(checker->checker(), rr.cell);
-  if (rr.cell.check_errors != 0) note(rr, "protocol checker found errors");
+  const ConcurrentTaskPool::RecoveryStats rs = pool.recovery_stats();
+  // Only a giveup may unwind the run: anything else is a real failure.
+  if (run_failed && rs.giveups == 0) note(rr, "run failed: " + run_error);
+  protocol_verdict(rr, checker->checker(), run_failed && rs.giveups != 0);
 
   const EngineStats es = store.engine_stats();
-  const ConcurrentTaskPool::RecoveryStats rs = pool.recovery_stats();
   rr.giveups = rs.giveups;
   rr.cell.backend = "functional";
-  rr.cell.exec = "concurrent";
-  rr.cell.conc_threads = opt.workers;
   rr.cell.ops = static_cast<std::uint64_t>(opt.tasks) *
                 static_cast<std::uint64_t>(opt.ops);
-  rr.cell.work_seconds = work;
   rr.cell.checksum =
       rs.giveups == 0 && !run_failed ? committed_checksum(per, committed) : 0;
   rr.cell.metrics = bench::Json::object();
@@ -487,15 +505,18 @@ int main(int argc, char** argv) {
       }
       return argv[i];
     };
-    auto count = [&](const char* flag) {
+    auto number = [&](const char* flag, long long max) {
       const char* v = value(flag);
       char* end = nullptr;
       const long long n = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || n <= 0) {
+      if (end == v || *end != '\0' || n <= 0 || n > max) {
         std::fprintf(stderr, "osim-chaos: bad %s value '%s'\n", flag, v);
         usage(2);
       }
       return n;
+    };
+    auto count = [&](const char* flag) {
+      return static_cast<int>(number(flag, INT_MAX));
     };
     if (std::strcmp(a, "--backend") == 0) {
       const std::string b = value(a);
@@ -506,17 +527,17 @@ int main(int argc, char** argv) {
         usage(2);
       }
     } else if (std::strcmp(a, "--rounds") == 0) {
-      opt.rounds = static_cast<int>(count(a));
+      opt.rounds = count(a);
     } else if (std::strcmp(a, "--tasks") == 0) {
-      opt.tasks = static_cast<int>(count(a));
+      opt.tasks = count(a);
     } else if (std::strcmp(a, "--ops") == 0) {
-      opt.ops = static_cast<int>(count(a));
+      opt.ops = count(a);
     } else if (std::strcmp(a, "--workers") == 0) {
-      opt.workers = static_cast<int>(count(a));
+      opt.workers = count(a);
     } else if (std::strcmp(a, "--retries") == 0) {
-      opt.retries = static_cast<int>(count(a));
+      opt.retries = count(a);
     } else if (std::strcmp(a, "--seed") == 0) {
-      opt.seed = static_cast<std::uint64_t>(count(a));
+      opt.seed = static_cast<std::uint64_t>(number(a, LLONG_MAX));
     } else if (std::strcmp(a, "--inject") == 0) {
       opt.inject = value(a);
       try {

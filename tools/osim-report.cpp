@@ -44,13 +44,8 @@ struct Cell {
   std::string gc = "paper";
   std::uint64_t cycles = 0;
   std::uint64_t checksum = 0;
-  /// Concurrent-execution cells (--exec=concurrent) additionally record
-  /// real-time throughput: host threads, ops executed, and measured wall
-  /// seconds of the parallel section.
-  std::string exec;
+  /// Versioned ISA ops the cell issued (osim-chaos rounds); 0 = absent.
   std::uint64_t ops = 0;
-  double work_seconds = 0.0;
-  std::uint64_t conc_threads = 0;
   const Json* metrics = nullptr;  ///< owned by the file's Json root
   const Json* check = nullptr;    ///< osim-check verdict (--check runs only)
 };
@@ -142,14 +137,7 @@ bool load_results(const std::string& path, ResultFile& out) {
       if (const Json* cg = jc.find("gc")) c.gc = cg->as_string();
       c.cycles = cy->as_u64();
       c.checksum = ck->as_u64();
-      if (const Json* v = jc.find("exec")) c.exec = v->as_string();
       if (const Json* v = jc.find("ops")) c.ops = v->as_u64();
-      if (const Json* v = jc.find("work_seconds")) {
-        c.work_seconds = v->as_double();
-      }
-      if (const Json* v = jc.find("conc_threads")) {
-        c.conc_threads = v->as_u64();
-      }
       c.metrics = jc.find("metrics");
       c.check = jc.find("check");
       b.cells.push_back(std::move(c));
@@ -562,38 +550,6 @@ void report_ablation(const BenchRecord& b) {
   }
 }
 
-void report_concurrent(const BenchRecord& b) {
-  // Cells: "mix/tN" from --exec=concurrent, each recording real host-thread
-  // throughput (ops / work_seconds). Table shows Mops/s per thread count
-  // and scaling relative to the mix's t1 cell — wall-clock numbers, not
-  // simulated cycles.
-  Grid g = grid_by_last(b);
-  std::vector<std::string> header{"mix"};
-  for (const std::string& c : g.cols) header.push_back(c);
-  md_header(header);
-  for (const std::string& r : g.rows) {
-    const Cell* base = g.cell(r, "t1");
-    const double base_tput =
-        base != nullptr && base->work_seconds > 0.0
-            ? static_cast<double>(base->ops) / base->work_seconds
-            : 0.0;
-    std::vector<std::string> row{r};
-    for (const std::string& c : g.cols) {
-      const Cell* cell = g.cell(r, c);
-      if (cell == nullptr || cell->work_seconds <= 0.0) {
-        row.push_back("");
-        continue;
-      }
-      const double tput =
-          static_cast<double>(cell->ops) / cell->work_seconds;
-      std::string s = fmt(tput / 1e6) + " Mops/s";
-      if (base_tput > 0.0) s += " (" + fmt(tput / base_tput) + "x)";
-      row.push_back(std::move(s));
-    }
-    md_row(row);
-  }
-}
-
 void report_chaos(const BenchRecord& b) {
   // Cells: "r<round>/{serial,conc}" from osim-chaos, each recording the
   // fault-injection degradation counters — rollbacks performed, what the
@@ -606,9 +562,11 @@ void report_chaos(const BenchRecord& b) {
   for (const Cell& c : b.cells) {
     std::string verdict = "(unchecked)";
     if (c.check != nullptr) {
-      const Json* errors = c.check->find("errors");
-      const std::uint64_t n = errors == nullptr ? 0 : errors->as_u64();
-      verdict = n == 0 ? "clean" : std::to_string(n) + " error(s)";
+      const std::uint64_t errors = check_u64(c.check, "errors");
+      const std::uint64_t warnings = check_u64(c.check, "warnings");
+      verdict = errors != 0     ? std::to_string(errors) + " error(s)"
+                : warnings != 0 ? std::to_string(warnings) + " warning(s)"
+                                : "clean";
     }
     md_row({c.name, std::to_string(c.ops),
             std::to_string(metric_u64(c, "chaos/aborts")),
@@ -657,9 +615,6 @@ const Formatter kFormatters[] = {
     {"ablation", "Ablation — performance relative to baseline",
      report_ablation},
     {"sw_vs_hw", "Hardware vs software O-structures", report_sw_vs_hw},
-    {"backend_throughput_concurrent",
-     "Concurrent engine — real host-thread scaling (wall clock)",
-     report_concurrent},
     {"chaos_soak",
      "Chaos soak — graceful degradation under injected faults",
      report_chaos},

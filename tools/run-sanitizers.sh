@@ -106,32 +106,32 @@ cmake --build --preset tsan -j "$jobs" --target test_gc_policy
 
 echo
 echo "== TSan: VersionEngine facade conformance (concurrent cells) =="
-# VersionEngine::execute() on real host threads: the conformance suite's
-# Concurrent* tests drive ConcurrentVersionStore purely through the
-# facade — the matrix cells single-driver, the threaded test as per-task
-# batches under the work pool — so a race in the dispatch loop or in
-# Results accumulation surfaces here. (The serial cells need the fiber
-# machine, which TSan cannot follow; the filter keeps them out.)
+# The facade on real host threads: the conformance suite's Concurrent*
+# tests drive ConcurrentVersionStore purely through VersionEngine's
+# virtuals, via the tests' op-stream driver (tests/engine_exec.hpp) — the
+# matrix cells single-driver, the threaded test as per-task batches under
+# the work pool — so a race behind the facade's dispatch surfaces here.
+# (The serial cells need the fiber machine, which TSan cannot follow; the
+# filter keeps them out.)
 cmake --build --preset tsan -j "$jobs" --target test_version_engine
 ./build-tsan/tests/test_version_engine --gtest_filter='*Concurrent*'
 
-echo
-echo "== TSan: concurrent bench path (--exec=concurrent) =="
-# End to end: script generation, the work-stealing pool, the strict
-# checker riding the store's tracer, and the scaling cells.
-cmake --build --preset tsan -j "$jobs" --target bench_backend_throughput
-./build-tsan/bench/bench_backend_throughput --quick --check=strict \
-  --backend=functional --exec=concurrent
 
 echo
 echo "== TSan: concurrent chaos soak (abort/retry on real threads) =="
 # Workers aborting and retrying tasks while neighbours run is the most
 # race-prone path in the concurrent engine: journal replay under the shard
 # locks, shadow restores racing optimistic readers, wake-ups of parked ops
-# whose version just vanished. TSan follows all of it (no fibers).
+# whose version just vanished. TSan follows all of it (no fibers), and
+# the strict checker rides the store's tracer through both rounds.
 cmake --build --preset tsan -j "$jobs" --target osim-chaos
 ./build-tsan/tools/osim-chaos --backend concurrent --rounds 2 --tasks 16 \
   --ops 150 --workers 4 --retries 50 --seed 7
+# Short tasks: thousands of one-op tasks finish at once on neighbouring
+# workers, so the harness's own per-task bookkeeping (commit flags, store
+# records) is written concurrently at its densest.
+./build-tsan/tools/osim-chaos --backend concurrent --rounds 1 --tasks 2000 \
+  --ops 1 --workers 4 --retries 50 --seed 7
 
 echo
 echo "sanitizer gate: PASS"
