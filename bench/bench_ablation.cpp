@@ -14,9 +14,7 @@
 //
 // Reported: cycles relative to the baseline configuration (higher = faster)
 // for a single-core and a 32-core versioned run of each workload.
-#include <cstdio>
 #include <functional>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -30,7 +28,6 @@ namespace {
 
 using bench::CellResult;
 using bench::Driver;
-using bench::fmt;
 
 struct Variant {
   const char* name;
@@ -44,7 +41,7 @@ const Variant kVariants[] = {
     {"inplace-comp", [](OStructConfig& c) { c.inplace_comp_update = true; }},
 };
 
-/// One table line: a cell per variant for one (workload, cores) pair.
+/// A cell per variant for one (workload, cores) pair.
 struct Line {
   std::string label;
   std::vector<std::size_t> cells;
@@ -61,19 +58,6 @@ Line add_sweep(Driver& driver, const std::string& label, int cores,
         driver.add(label + "/" + v.name, [run, c] { return run(c); }));
   }
   return ln;
-}
-
-void print_line(Driver& driver, const Line& ln) {
-  const Cycles base = driver.result(ln.cells[0]).cycles;
-  const std::uint64_t sum = driver.result(ln.cells[0]).checksum;
-  std::vector<std::string> cells{ln.label};
-  for (std::size_t h : ln.cells) {
-    const CellResult& r = driver.result(h);
-    cells.push_back(fmt(static_cast<double>(base) / r.cycles, 3));
-    driver.check(ln.label + ": checksum invariant across variants",
-                 r.checksum == sum);
-  }
-  bench::row(cells, 13);
 }
 
 }  // namespace
@@ -117,18 +101,12 @@ int main(int argc, char** argv) {
 
   driver.run_all();
 
-  std::printf(
-      "Ablation: performance relative to the baseline configuration\n"
-      "(>1 would mean the variant is faster; large read-intensive runs)\n\n");
-  rule(5, 13);
-  row({"run", "baseline", "no-compress", "no-pollute", "inplace-comp"}, 13);
-  rule(5, 13);
-  for (const Line& ln : lines) print_line(driver, ln);
-  rule(5, 13);
-  std::printf(
-      "\nExpected: no-compress hurts single-core runs most (direct access\n"
-      "is the paper's fast path); no-pollute hurts long-walk workloads;\n"
-      "inplace-comp helps multicore runs by preserving remote direct "
-      "access.\n");
+  for (const Line& ln : lines) {
+    const std::uint64_t sum = driver.result(ln.cells[0]).checksum;
+    for (std::size_t h : ln.cells) {
+      driver.check(ln.label + ": checksum invariant across variants",
+                   driver.result(h).checksum == sum);
+    }
+  }
   return driver.finish();
 }

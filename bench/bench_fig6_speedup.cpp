@@ -9,7 +9,6 @@
 // Expected shape (paper): matmul and Levenshtein scale near-linearly;
 // pointer-chasing structures reach meaningful but sub-linear speedups; the
 // red-black tree is the weakest (single writer throttles the root).
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -25,14 +24,9 @@
 namespace osim {
 namespace {
 
-using bench::CellResult;
-using bench::Driver;
-using bench::fmt;
 using bench::make_config;
 
 constexpr int kCores = 32;
-
-std::string fmt_cycles(Cycles c) { return std::to_string(c); }
 
 struct Ds {
   const char* name;
@@ -41,27 +35,12 @@ struct Ds {
   int base_ops;  // scaled by --quick/--full
 };
 
-// One table line: a sequential cell and a parallel cell plus its labels.
+// A sequential cell, a parallel cell, and the label their check names.
 struct Line {
-  std::string name;
-  std::string size;
-  std::string mix;
+  std::string label;  // name/size/mix
   std::size_t seq;
   std::size_t par;
 };
-
-void print_line(Driver& driver, const Line& ln) {
-  const CellResult& s = driver.result(ln.seq);
-  const CellResult& p = driver.result(ln.par);
-  const bool ok = s.checksum == p.checksum;
-  driver.check(ln.name + "/" + ln.size + "/" + ln.mix +
-                   ": versioned output matches sequential",
-               ok);
-  bench::row({ln.name, ln.size, ln.mix, fmt_cycles(s.cycles),
-              fmt_cycles(p.cycles),
-              fmt(static_cast<double>(s.cycles) / p.cycles),
-              ok ? "match" : "MISMATCH"});
-}
 
 }  // namespace
 }  // namespace osim
@@ -90,19 +69,17 @@ int main(int argc, char** argv) {
         spec.ops = scale.ops(ds.base_ops);
         spec.reads_per_write = rpw;
         Line ln;
-        ln.name = ds.name;
-        ln.size = size == 1000 ? "small" : "large";
-        ln.mix = rpw == 4 ? "4R-1W" : "1R-1W";
-        const std::string key =
-            ln.name + "/" + ln.size + "/" + ln.mix;
+        ln.label = std::string(ds.name) + "/" +
+                   (size == 1000 ? "small" : "large") + "/" +
+                   (rpw == 4 ? "4R-1W" : "1R-1W");
         auto seq = ds.seq;
-        ln.seq = driver.add(key + "/seq", [seq, spec] {
+        ln.seq = driver.add(ln.label + "/seq", [seq, spec] {
           Env env(make_config(1));
           const RunResult r = seq(env, spec);
           return bench::cell_result(env, r.cycles, r.checksum);
         });
         auto par = ds.par;
-        ln.par = driver.add(key + "/par", [par, spec] {
+        ln.par = driver.add(ln.label + "/par", [par, spec] {
           Env env(make_config(kCores));
           const RunResult r = par(env, spec, kCores);
           return bench::cell_result(env, r.cycles, r.checksum);
@@ -115,9 +92,7 @@ int main(int argc, char** argv) {
     MatmulSpec spec;
     spec.n = scale.dim(100);
     Line ln;
-    ln.name = "matrix_mul";
-    ln.size = "n=" + std::to_string(spec.n);
-    ln.mix = "-";
+    ln.label = "matrix_mul/n=" + std::to_string(spec.n) + "/-";
     ln.seq = driver.add("matrix_mul/seq", [spec] {
       Env env(make_config(1));
       const RunResult r = matmul_sequential(env, spec);
@@ -134,9 +109,7 @@ int main(int argc, char** argv) {
     LevSpec spec;
     spec.n = scale.dim(1000);
     Line ln;
-    ln.name = "levenshtein";
-    ln.size = "n=" + std::to_string(spec.n);
-    ln.mix = "-";
+    ln.label = "levenshtein/n=" + std::to_string(spec.n) + "/-";
     ln.seq = driver.add("levenshtein/seq", [spec] {
       Env env(make_config(1));
       const RunResult r = levenshtein_sequential(env, spec);
@@ -152,17 +125,10 @@ int main(int argc, char** argv) {
 
   driver.run_all();
 
-  std::printf(
-      "Figure 6: speedup of parallel versioned (32 cores) over sequential "
-      "unversioned\n\n");
-  rule(7);
-  row({"benchmark", "size", "mix", "seq cycles", "par cycles", "speedup",
-       "output"});
-  rule(7);
-  for (const Line& ln : lines) print_line(driver, ln);
-  rule(7);
-  std::printf(
-      "\nPaper reference (Fig. 6): regular codes ~11-25x; linked list up to "
-      "~19x;\ntree/hash mid-range; red-black tree lowest (~1-3x).\n");
+  for (const Line& ln : lines) {
+    driver.check(ln.label + ": versioned output matches sequential",
+                 driver.result(ln.seq).checksum ==
+                     driver.result(ln.par).checksum);
+  }
   return driver.finish();
 }

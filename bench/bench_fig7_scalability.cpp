@@ -5,7 +5,6 @@
 // Expected shape (paper): matmul and Levenshtein scale near-linearly (up to
 // ~25x at 32 cores); linked list reaches ~19x; binary tree and hash table
 // land mid-range; the red-black tree flattens early (single writer).
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -21,9 +20,7 @@
 namespace osim {
 namespace {
 
-using bench::CellResult;
 using bench::Driver;
-using bench::fmt;
 using bench::make_config;
 
 const int kCoreSweep[] = {1, 2, 4, 8, 16, 32};
@@ -48,18 +45,6 @@ Row add_ds(Driver& driver, const char* name, ParFn par, const DsSpec& spec) {
         }));
   }
   return r;
-}
-
-void print_row(Driver& driver, const Row& r) {
-  std::vector<std::string> cells{r.name};
-  const Cycles base = driver.result(r.cells[0]).cycles;
-  const std::uint64_t sum = driver.result(r.cells[0]).checksum;
-  for (std::size_t h : r.cells) {
-    cells.push_back(fmt(static_cast<double>(base) / driver.result(h).cycles));
-    driver.check(std::string(r.name) + ": checksum invariant across cores",
-                 driver.result(h).checksum == sum);
-  }
-  bench::row(cells, 11);
 }
 
 }  // namespace
@@ -127,16 +112,12 @@ int main(int argc, char** argv) {
 
   driver.run_all();
 
-  std::printf(
-      "Figure 7: scalability — speedup over sequential (1-core) versioned;\n"
-      "large (10000 elements), read-intensive (4R-1W) runs\n\n");
-  rule(7, 11);
-  row({"benchmark", "1", "2", "4", "8", "16", "32"}, 11);
-  rule(7, 11);
-  for (const Row& r : rows) print_row(driver, r);
-  rule(7, 11);
-  std::printf(
-      "\nPaper reference (Fig. 7): matmul/Levenshtein near-linear to ~25x;\n"
-      "linked list ~19x; tree/hash mid; red-black tree flattens lowest.\n");
+  for (const Row& r : rows) {
+    const std::uint64_t sum = driver.result(r.cells[0]).checksum;
+    for (std::size_t h : r.cells) {
+      driver.check(std::string(r.name) + ": checksum invariant across cores",
+                   driver.result(h).checksum == sum);
+    }
+  }
   return driver.finish();
 }

@@ -6,9 +6,7 @@
 // limited impact — up to 1.23x and usually much less"; parallel runs are
 // the least sensitive. Reported values are speedups vs the 32 KB baseline
 // (values below 1 for the smaller L1s).
-#include <cstdio>
 #include <functional>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -26,7 +24,6 @@ namespace {
 
 using bench::CellResult;
 using bench::Driver;
-using bench::fmt;
 using bench::make_config;
 
 const std::size_t kL1Kb[] = {8, 16, 32, 64, 128};
@@ -37,13 +34,13 @@ MachineConfig config_with_l1(int cores, std::size_t l1_kb) {
   return c;
 }
 
-/// One table line: a cell per L1 size for one (workload, run-kind) pair.
+/// A cell per L1 size for one (workload, run-kind) pair.
 struct Line {
   std::string label;
   std::vector<std::size_t> cells;
 };
 
-/// Register `fn` at every L1 size; results print relative to 32 KB.
+/// Register `fn` at every L1 size.
 Line add_sweep(Driver& driver, const std::string& label,
                std::function<CellResult(std::size_t)> fn) {
   Line ln{label, {}};
@@ -78,19 +75,6 @@ void add_ds(Driver& driver, std::vector<Line>& lines, const char* name,
                               return bench::cell_result(env, r.cycles,
                                                         r.checksum);
                             }));
-}
-
-void print_line(Driver& driver, const Line& ln) {
-  const double base =
-      static_cast<double>(driver.result(ln.cells[2]).cycles);  // 32 KB entry
-  const std::uint64_t sum = driver.result(ln.cells[2]).checksum;
-  std::vector<std::string> cells{ln.label};
-  for (std::size_t h : ln.cells) {
-    cells.push_back(fmt(base / static_cast<double>(driver.result(h).cycles)));
-    driver.check(ln.label + ": checksum invariant across L1 sizes",
-                 driver.result(h).checksum == sum);
-  }
-  bench::row(cells, 13);
 }
 
 }  // namespace
@@ -149,17 +133,12 @@ int main(int argc, char** argv) {
 
   driver.run_all();
 
-  std::printf(
-      "Figure 9: performance vs L1 size, relative to the 32KB baseline\n"
-      "(U = unversioned sequential, 1T = versioned 1 core, 32T = versioned "
-      "32 cores;\nlarge, read-intensive runs)\n\n");
-  rule(6, 13);
-  row({"run", "8KB", "16KB", "32KB", "64KB", "128KB"}, 13);
-  rule(6, 13);
-  for (const Line& ln : lines) print_line(driver, ln);
-  rule(6, 13);
-  std::printf(
-      "\nPaper reference (Fig. 9): growing L1 beyond 32KB gains at most "
-      "~1.23x\nand usually much less; 32T runs are the least sensitive.\n");
+  for (const Line& ln : lines) {
+    const std::uint64_t sum = driver.result(ln.cells[2]).checksum;  // 32 KB
+    for (std::size_t h : ln.cells) {
+      driver.check(ln.label + ": checksum invariant across L1 sizes",
+                   driver.result(h).checksum == sum);
+    }
+  }
   return driver.finish();
 }

@@ -9,7 +9,6 @@
 // Paper result: tight is only ~0.1% slower than ample, which is itself
 // ~0.1% slower than nosort (versions are created in order, so sorting does
 // almost no work — but it is what enables the GC).
-#include <cstdio>
 #include <string>
 
 #include "bench_util.hpp"
@@ -20,8 +19,6 @@ namespace osim {
 namespace {
 
 using bench::CellResult;
-using bench::Driver;
-using bench::fmt;
 using bench::make_config;
 
 /// Machine-wide counter out of a cell's metric snapshot (0 when absent).
@@ -93,69 +90,13 @@ int main(int argc, char** argv) {
   const CellResult& t = driver.result(handles[0]);
   const CellResult& a = driver.result(handles[1]);
   const CellResult& n = driver.result(handles[2]);
-
-  std::printf(
-      "Sec. IV-F: GC overhead — sequential, %d ops, 10-element sorted "
-      "list\n\n",
-      spec.ops);
-  rule(6, 13);
-  row({"config", "cycles", "GC phases", "OS traps", "blocks freed",
-       "vs ample"},
-      13);
-  rule(6, 13);
-  const CellResult* results[3] = {&t, &a, &n};
-  for (int i = 0; i < 3; ++i) {
-    const CellResult& r = *results[i];
-    row({names[i], std::to_string(r.cycles),
-         std::to_string(metric(r, "gc/phases")),
-         std::to_string(metric(r, "osm/os_traps")),
-         std::to_string(metric(r, "osm/blocks_freed")),
-         i == 1 ? "0.000%"
-                : fmt(100.0 * (static_cast<double>(r.cycles) / a.cycles - 1.0),
-                      3) +
-                      "%"},
-        13);
-  }
-  rule(6, 13);
-
   driver.check("tight output matches ample", t.checksum == a.checksum);
   driver.check("ample output matches no-sorting", a.checksum == n.checksum);
-  std::printf("\noutputs: tight %s ample, ample %s no-sorting\n",
-              t.checksum == a.checksum ? "==" : "!=",
-              a.checksum == n.checksum ? "==" : "!=");
-
-  // Policy comparison table. "GC runs" is phases for the paper policy and
-  // sweeps for the bounded one — each policy's unit of collection work.
   const CellResult& pp = driver.result(pinned_handles[0]);
   const CellResult& pb = driver.result(pinned_handles[1]);
-  std::printf("\nGC policy comparison (tight configuration):\n\n");
-  rule(6, 13);
-  row({"policy", "cycles", "GC runs", "OS traps", "blocks freed",
-       "vs paper"},
-      13);
-  rule(6, 13);
-  const CellResult* pr[2] = {&pp, &pb};
-  for (int i = 0; i < 2; ++i) {
-    const CellResult& r = *pr[i];
-    row({i == 0 ? "paper" : "bounded", std::to_string(r.cycles),
-         std::to_string(metric(r, "gc/phases") + metric(r, "gc/sweeps")),
-         std::to_string(metric(r, "osm/os_traps")),
-         std::to_string(metric(r, "osm/blocks_freed")),
-         i == 0 ? "0.000%"
-                : fmt(100.0 * (static_cast<double>(r.cycles) / pp.cycles -
-                               1.0),
-                      3) +
-                      "%"},
-        13);
-  }
-  rule(6, 13);
-
   driver.check("gc=paper output matches gc=bounded",
                pp.checksum == pb.checksum);
   driver.check("gc=bounded reclaims blocks",
                metric(pb, "osm/blocks_freed") > 0);
-  std::printf(
-      "\nPaper reference (Sec. IV-F): 135 GC phases; tight ~0.1%% slower "
-      "than\nample; ample ~0.1%% slower than no-sorting.\n");
   return driver.finish();
 }

@@ -136,6 +136,7 @@ int main(int argc, char** argv) {
 
   driver.run_all();
 
+  // The modelled configuration, above the measured table finish() prints.
   std::printf("Table II: the experimental platform (modelled)\n\n");
   std::printf("  Processor   %d-wide in-order, %.0f GHz, %d cores\n",
               c.issue_width, c.ghz, c.num_cores);
@@ -152,18 +153,9 @@ int main(int argc, char** argv) {
   std::printf("  Remote L1   %llu cycles (comparable to LLC, Sec. IV-D)\n\n",
               static_cast<unsigned long long>(c.remote_l1_latency));
 
-  std::printf("Self-check of delivered latencies:\n\n");
-  rule(3, 22);
-  row({"probe", "measured cycles", "expected"}, 22);
-  rule(3, 22);
   for (std::size_t i = 0; i < handles.size(); ++i) {
-    const Cycles measured = driver.result(handles[i]).cycles;
-    row({probes[i].name, std::to_string(measured),
-         std::to_string(probes[i].expected)},
-        22);
     driver.check(std::string(probes[i].name) + " latency as configured",
-                 measured == probes[i].expected);
+                 driver.result(handles[i]).cycles == probes[i].expected);
   }
-  rule(3, 22);
   return driver.finish();
 }

@@ -1,6 +1,6 @@
 // Shared utilities for the per-figure bench harnesses: command-line
-// handling (scale, host threads, JSON output), machine-config construction,
-// and aligned table printing.
+// handling (scale, host threads, JSON output) and machine-config
+// construction.
 #pragma once
 
 #include <climits>
@@ -9,7 +9,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "core/fault_injection.hpp"
 #include "runtime/env.hpp"
@@ -219,20 +218,9 @@ inline thread_local GcPolicyKind g_cell_gc = GcPolicyKind::kPaper;
 inline thread_local std::string g_cell_inject;
 }  // namespace detail
 
-inline MachineConfig make_config(int cores) {
-  MachineConfig c;
-  c.num_cores = cores;
-  c.backend = detail::g_cell_backend;
-  c.ostruct.trace_path = detail::g_cell_trace_path;
-  c.ostruct.check_mode = detail::g_cell_check_mode;
-  c.ostruct.gc_policy = detail::g_cell_gc;
-  c.ostruct.inject_spec = detail::g_cell_inject;
-  return c;
-}
-
-/// Re-stamp the cell trace path, check mode, backend and GC policy onto a
-/// config that was built *outside* the cell (make_config only sees the
-/// thread-locals while the cell runs).
+/// Stamp the running cell's trace path, check mode, backend, GC policy and
+/// fault plan (the thread-locals above) onto `c`. A config built *outside*
+/// the cell, where they are unset, is re-stamped with this inside it.
 inline MachineConfig with_cell_trace(MachineConfig c) {
   c.backend = detail::g_cell_backend;
   c.ostruct.trace_path = detail::g_cell_trace_path;
@@ -242,26 +230,10 @@ inline MachineConfig with_cell_trace(MachineConfig c) {
   return c;
 }
 
-/// Print a row of "| cell | cell |" with the given widths.
-inline void row(const std::vector<std::string>& cells, int width = 14) {
-  for (const auto& c : cells) std::printf("| %-*s ", width, c.c_str());
-  std::printf("|\n");
+inline MachineConfig make_config(int cores) {
+  MachineConfig c;
+  c.num_cores = cores;
+  return with_cell_trace(c);
 }
-
-inline void rule(std::size_t cells, int width = 14) {
-  for (std::size_t i = 0; i < cells; ++i) {
-    std::printf("+");
-    for (int j = 0; j < width + 2; ++j) std::printf("-");
-  }
-  std::printf("+\n");
-}
-
-inline std::string fmt(double v, int prec = 2) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", prec, v);
-  return buf;
-}
-
-inline std::string fmt_u64(std::uint64_t v) { return std::to_string(v); }
 
 }  // namespace osim::bench

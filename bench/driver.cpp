@@ -3,11 +3,13 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "json.hpp"
+#include "report.hpp"
 #include "sim/host_pool.hpp"
 
 namespace osim::bench {
@@ -117,7 +119,9 @@ void Driver::run_all() {
       detail::g_cell_inject = inject;
       const auto t0 = std::chrono::steady_clock::now();
       cell.result = cell.fn();
-      cell.result.wall_seconds = seconds_since(t0);
+      if (cell.result.wall_seconds == 0.0) {
+        cell.result.wall_seconds = seconds_since(t0);
+      }
       cell.done = true;
       detail::g_cell_trace_path.clear();
       detail::g_cell_check_mode = 0;
@@ -179,11 +183,47 @@ int Driver::finish() {
     }
   }
   const bool all_ok = passed == checks_.size();
+  const int threads = HostPool(opt_.threads).thread_count();
+
+  Json mine = Json::object();
+  mine["scale"] = Json::number(opt_.scale.factor);
+  mine["threads"] = Json::number(static_cast<std::uint64_t>(threads));
+  mine["wall_seconds"] = Json::number(total_wall_);
+  mine["checks_passed"] = Json::boolean(all_ok);
+  Json cells = Json::array();
+  for (const Cell& c : cells_) {
+    Json jc = Json::object();
+    jc["name"] = Json::string(c.name);
+    jc["backend"] = Json::string(c.result.backend.empty()
+                                     ? to_string(opt_.backend)
+                                     : c.result.backend);
+    jc["gc"] = Json::string(c.result.gc.empty() ? to_string(opt_.gc)
+                                                : c.result.gc);
+    jc["cycles"] = Json::number(static_cast<std::uint64_t>(c.result.cycles));
+    jc["checksum"] = Json::number(c.result.checksum);
+    jc["wall_seconds"] = Json::number(c.result.wall_seconds);
+    if (c.result.ops != 0) jc["ops"] = Json::number(c.result.ops);
+    if (!c.result.metrics.is_null()) jc["metrics"] = c.result.metrics;
+    if (c.result.checked) jc["check"] = c.result.check;
+    cells.push_back(std::move(jc));
+  }
+  mine["cells"] = std::move(cells);
+
+  // The table osim-report prints for the file this run writes: the same
+  // loader and formatter, fed the same record.
+  report::BenchRecord rec;
+  std::vector<std::string> problems = report::load_bench(name_, mine, rec);
+  if (!report::render(std::cout, name_, rec)) {
+    problems.push_back("no table formatter for this bench");
+  }
+  for (const std::string& problem : problems) {
+    std::fprintf(stderr, "%s: %s\n", name_.c_str(), problem.c_str());
+  }
   std::printf(
       "\n[%s] %zu cells, %.2fs wall on %d host thread(s); checks: %zu/%zu "
       "passed\n",
-      name_.c_str(), cells_.size(), total_wall_,
-      HostPool(opt_.threads).thread_count(), passed, checks_.size());
+      name_.c_str(), cells_.size(), total_wall_, threads, passed,
+      checks_.size());
 
   if (!opt_.json_path.empty()) {
     // Versioned result schema (v2): {"schema": 2, "benches": {name: {...}}}.
@@ -217,31 +257,7 @@ int Driver::finish() {
       }
     }
     root["schema"] = Json::number(kJsonSchemaVersion);
-    Json& mine = root["benches"][name_];
-    mine = Json::object();
-    mine["scale"] = Json::number(opt_.scale.factor);
-    mine["threads"] = Json::number(
-        static_cast<std::uint64_t>(HostPool(opt_.threads).thread_count()));
-    mine["wall_seconds"] = Json::number(total_wall_);
-    mine["checks_passed"] = Json::boolean(all_ok);
-    Json cells = Json::array();
-    for (const Cell& c : cells_) {
-      Json jc = Json::object();
-      jc["name"] = Json::string(c.name);
-      jc["backend"] = Json::string(c.result.backend.empty()
-                                       ? to_string(opt_.backend)
-                                       : c.result.backend);
-      jc["gc"] = Json::string(c.result.gc.empty() ? to_string(opt_.gc)
-                                                  : c.result.gc);
-      jc["cycles"] = Json::number(static_cast<std::uint64_t>(c.result.cycles));
-      jc["checksum"] = Json::number(c.result.checksum);
-      jc["wall_seconds"] = Json::number(c.result.wall_seconds);
-      if (c.result.ops != 0) jc["ops"] = Json::number(c.result.ops);
-      if (!c.result.metrics.is_null()) jc["metrics"] = c.result.metrics;
-      if (c.result.checked) jc["check"] = c.result.check;
-      cells.push_back(std::move(jc));
-    }
-    mine["cells"] = std::move(cells);
+    root["benches"][name_] = std::move(mine);
 
     std::ofstream out(opt_.json_path, std::ios::trunc);
     if (!out) {
@@ -253,7 +269,7 @@ int Driver::finish() {
     std::printf("[%s] results written to %s\n", name_.c_str(),
                 opt_.json_path.c_str());
   }
-  return all_ok ? 0 : 1;
+  return all_ok && problems.empty() ? 0 : 1;
 }
 
 }  // namespace osim::bench

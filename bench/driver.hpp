@@ -8,9 +8,11 @@
 //      each cell builds, runs, and tears down its own Env/Machine, so the
 //      simulated cycles, stats, and checksums are bit-identical for any
 //      --threads value,
-//   3. read results back in registration order and print the tables,
-//   4. finish(): verify recorded invariants (checksum matches), print the
-//      wall-clock summary, and write/merge the machine-readable JSON.
+//   3. read results back in registration order and record invariants
+//      (checksum matches) with check(),
+//   4. finish(): print the figure table from the bench's JSON record
+//      (bench/report.hpp), the check verdicts and the wall-clock summary,
+//      and write/merge the record into the --json file.
 //
 // The JSON file maps bench name -> { scale, threads, wall_seconds, cells,
 // checks }; running several benches with the same --json path accumulates
@@ -35,7 +37,9 @@ namespace osim::bench {
 struct CellResult {
   Cycles cycles = 0;
   std::uint64_t checksum = 0;
-  double wall_seconds = 0.0;  ///< host time for this cell (driver-filled)
+  /// Host seconds for this cell. A cell that times only part of its work
+  /// sets it; the driver fills in the whole cell's time when it is 0.
+  double wall_seconds = 0.0;
   /// Backend that produced this cell ("timed" / "functional"); cell_result
   /// records the cell Env's own backend, so mixed-backend benches label
   /// each cell correctly. Empty = fall back to the bench-wide --backend.
@@ -44,8 +48,9 @@ struct CellResult {
   /// the cell Env's own policy, so policy-comparison benches label each
   /// cell correctly. Empty = fall back to the bench-wide --gc.
   std::string gc;
-  /// Versioned ISA ops the cell issued, for cells that count them
-  /// (osim-chaos rounds); 0 = not recorded.
+  /// Operations the cell issued, for cells that count them: versioned ISA
+  /// ops (osim-chaos rounds), structure-level ops (backend_throughput);
+  /// 0 = not recorded.
   std::uint64_t ops = 0;
   /// Registry snapshot for the cell's machine (counters by "component/name",
   /// per-core vectors, histograms); lands in the JSON cell record.
@@ -110,11 +115,9 @@ class Driver {
   /// run fail on checksum mismatches.
   void check(const std::string& what, bool ok);
 
-  /// Wall-clock seconds spent inside run_all() so far.
-  double total_wall_seconds() const { return total_wall_; }
-
-  /// Print the wall-clock summary, write the JSON file if requested, and
-  /// return the process exit code (0 iff every check passed).
+  /// Print the figure table and the wall-clock summary, write the JSON
+  /// file if requested, and return the process exit code (0 iff every
+  /// check passed and the record renders).
   int finish();
 
  private:

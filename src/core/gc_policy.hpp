@@ -68,6 +68,19 @@ class GcOwner {
   ~GcOwner() = default;
 };
 
+/// Reclamation-eligibility predicate: true when some id of the ascending
+/// `sorted_live` lies in the half-open range [v, s), i.e. when a task that
+/// can still read a version `v` shadowed by `s` is unfinished. A block
+/// holding `v`, shadowed by `s`, is reclaimable iff this returns false (and
+/// it is unlocked). The bounded policy asks it through GcTaskTracker; the
+/// concurrent engine asks it under its shard locks against a snapshot of
+/// the unfinished-task set.
+inline bool gc_range_has_live_task(const std::vector<TaskId>& sorted_live,
+                                   Ver v, Ver s) {
+  auto it = std::lower_bound(sorted_live.begin(), sorted_live.end(), v);
+  return it != sorted_live.end() && *it < s;
+}
+
 /// Unfinished-task bookkeeping shared by the policies: create counts in a
 /// FlatMap (O(1) on the per-task hot path) plus a sorted vector of distinct
 /// live ids for the ordered queries (oldest unfinished, any-in-range). The
@@ -102,29 +115,15 @@ class GcTaskTracker {
     return true;
   }
 
-  /// True when some unfinished task id lies in the half-open range
-  /// [lo, hi) — i.e. when a task that can still read a version `lo`
-  /// shadowed by `hi` is unfinished.
+  /// gc_range_has_live_task over the unfinished tasks.
   bool any_in(Ver lo, Ver hi) const {
-    auto it = std::lower_bound(ids_.begin(), ids_.end(), lo);
-    return it != ids_.end() && *it < hi;
+    return gc_range_has_live_task(ids_, lo, hi);
   }
 
  private:
   FlatMap<TaskId, int> counts_;  ///< unfinished tasks: id -> create count
   std::vector<TaskId> ids_;      ///< distinct live ids, sorted ascending
 };
-
-/// Shared reclamation-eligibility predicate, usable outside the serial
-/// policy objects (the concurrent engine inlines the same decision under
-/// its shard locks against a snapshot of the unfinished-task set).
-/// `sorted_live` must be ascending. A block holding version `v`, shadowed
-/// by `s`, is reclaimable iff this returns false (and it is unlocked).
-inline bool gc_range_has_live_task(const std::vector<TaskId>& sorted_live,
-                                   Ver v, Ver s) {
-  auto it = std::lower_bound(sorted_live.begin(), sorted_live.end(), v);
-  return it != sorted_live.end() && *it < s;
-}
 
 /// The policy seam. Task-lifecycle rules (#1-#3) are policy-independent
 /// and live here; what varies is when a registered shadowed block is

@@ -487,6 +487,7 @@ int run(const ChaosOptions& opt) {
           serial.cell.checksum == conc.cell.checksum);
     }
   }
+  std::printf("\n");
   return driver.finish();
 }
 

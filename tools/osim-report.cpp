@@ -2,18 +2,21 @@
 //
 // Reads the schema-2 JSON files written by `bench_* --json PATH` and prints
 // the per-figure tables of EXPERIMENTS.md from the recorded cells alone —
-// no re-simulation. With `--trace PATH` it additionally reads the binary
-// event trace(s) written by `--trace` (telemetry::FileSink format) and
-// reports version-lifetime, reclamation-lag, and lock-hold distributions.
+// no re-simulation — through the benches' own formatters (bench/report.hpp).
+// With `--trace PATH` it additionally reads the binary event trace(s)
+// written by `--trace` (telemetry::FileSink format) and reports
+// version-lifetime, reclamation-lag, and lock-hold distributions.
 //
 // `--validate` turns the run into a machine-checkable smoke test: every
 // input must be a well-formed schema-2 result file (with all self-checks
-// passed) and every trace must parse; exit status reports the verdict.
+// passed and a table formatter for every bench) and every trace must
+// parse; exit status reports the verdict.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -21,49 +24,22 @@
 
 #include "core/isa.hpp"
 #include "json.hpp"
+#include "report.hpp"
 #include "telemetry/trace.hpp"
 
 namespace {
 
+namespace report = osim::bench::report;
 using osim::bench::Json;
 using osim::bench::kJsonSchemaVersion;
 using osim::telemetry::EventType;
 using osim::telemetry::TraceEvent;
+using report::BenchRecord;
+using report::Cell;
 
 // ---------------------------------------------------------------------------
-// Result-file model
+// Result files
 // ---------------------------------------------------------------------------
-
-struct Cell {
-  std::string name;
-  /// Backend that produced the cell. Older result files predate the field;
-  /// they could only have come from the cycle-accurate backend.
-  std::string backend = "timed";
-  /// GC policy behind the cell. Older result files predate the field; they
-  /// could only have run the paper's collector.
-  std::string gc = "paper";
-  std::uint64_t cycles = 0;
-  std::uint64_t checksum = 0;
-  /// Versioned ISA ops the cell issued (osim-chaos rounds); 0 = absent.
-  std::uint64_t ops = 0;
-  const Json* metrics = nullptr;  ///< owned by the file's Json root
-  const Json* check = nullptr;    ///< osim-check verdict (--check runs only)
-};
-
-struct BenchRecord {
-  double scale = 1.0;
-  std::uint64_t threads = 0;
-  double wall_seconds = 0.0;
-  bool checks_passed = false;
-  std::vector<Cell> cells;
-
-  const Cell* find(const std::string& name) const {
-    for (const Cell& c : cells) {
-      if (c.name == name) return &c;
-    }
-    return nullptr;
-  }
-};
 
 /// One loaded --json file. Bench order is file order; the Json root owns
 /// every string the cells point into.
@@ -109,115 +85,12 @@ bool load_results(const std::string& path, ResultFile& out) {
   }
   for (const auto& [name, rec] : benches->items()) {
     BenchRecord b;
-    if (const Json* v = rec.find("scale")) b.scale = v->as_double();
-    if (const Json* v = rec.find("threads")) b.threads = v->as_u64();
-    if (const Json* v = rec.find("wall_seconds")) {
-      b.wall_seconds = v->as_double();
-    }
-    if (const Json* v = rec.find("checks_passed")) {
-      b.checks_passed = v->as_bool();
-    }
-    const Json* cells = rec.find("cells");
-    if (cells == nullptr || !cells->is_array()) {
-      fail(path + ": bench '" + name + "' has no cell array");
-      continue;
-    }
-    for (const auto& [unused, jc] : cells->items()) {
-      (void)unused;
-      const Json* cn = jc.find("name");
-      const Json* cy = jc.find("cycles");
-      const Json* ck = jc.find("checksum");
-      if (cn == nullptr || cy == nullptr || ck == nullptr) {
-        fail(path + ": bench '" + name + "' has a malformed cell");
-        continue;
-      }
-      Cell c;
-      c.name = cn->as_string();
-      if (const Json* cb = jc.find("backend")) c.backend = cb->as_string();
-      if (const Json* cg = jc.find("gc")) c.gc = cg->as_string();
-      c.cycles = cy->as_u64();
-      c.checksum = ck->as_u64();
-      if (const Json* v = jc.find("ops")) c.ops = v->as_u64();
-      c.metrics = jc.find("metrics");
-      c.check = jc.find("check");
-      b.cells.push_back(std::move(c));
-    }
-    // A figure table mixes cycle counts from different backends only by
-    // mistake (a functional rerun merged over a timed one, or vice versa) —
-    // refuse it. backend_throughput is the one bench whose whole point is
-    // the side-by-side comparison.
-    if (name.find("backend_throughput") == std::string::npos) {
-      for (const Cell& c : b.cells) {
-        if (c.backend != b.cells.front().backend) {
-          fail(path + ": bench '" + name + "' mixes backends ('" +
-               b.cells.front().backend + "' and '" + c.backend +
-               "'); rerun the bench with one --backend");
-          break;
-        }
-      }
-    }
-    // The same rule for GC policies: a figure table only compares cycles
-    // produced under one reclamation scheme. gc_overhead is the one bench
-    // whose point is the paper-vs-bounded comparison.
-    if (name.find("gc_overhead") == std::string::npos) {
-      for (const Cell& c : b.cells) {
-        if (c.gc != b.cells.front().gc) {
-          fail(path + ": bench '" + name + "' mixes GC policies ('" +
-               b.cells.front().gc + "' and '" + c.gc +
-               "'); rerun the bench with one --gc");
-          break;
-        }
-      }
+    for (const std::string& problem : report::load_bench(name, rec, b)) {
+      fail(path + ": " + problem);
     }
     out.benches.emplace_back(name, std::move(b));
   }
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Table helpers (markdown, the EXPERIMENTS.md format)
-// ---------------------------------------------------------------------------
-
-void md_row(const std::vector<std::string>& cells) {
-  std::printf("|");
-  for (const auto& c : cells) std::printf(" %s |", c.c_str());
-  std::printf("\n");
-}
-
-void md_header(const std::vector<std::string>& cells) {
-  md_row(cells);
-  std::printf("|");
-  for (std::size_t i = 0; i < cells.size(); ++i) std::printf("---|");
-  std::printf("\n");
-}
-
-std::string fmt(double v, int prec = 2) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", prec, v);
-  return buf;
-}
-
-double ratio(std::uint64_t num, std::uint64_t den) {
-  return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
-}
-
-/// "a/b/c" -> {"a","b","c"}.
-std::vector<std::string> split(const std::string& s, char sep = '/') {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      parts.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
-}
-
-std::uint64_t check_u64(const Json* check, const char* key) {
-  if (check == nullptr) return 0;
-  const Json* v = check->find(key);
-  return v == nullptr ? 0 : v->as_u64();
 }
 
 /// Summarize the osim-check verdicts recorded by `--check` runs. Cells with
@@ -229,8 +102,8 @@ void report_checks(const std::string& path, const std::string& bench,
   for (const Cell& c : b.cells) {
     if (c.check == nullptr) continue;
     ++checked;
-    errors += check_u64(c.check, "errors");
-    warnings += check_u64(c.check, "warnings");
+    errors += c.check_count("errors");
+    warnings += c.check_count("warnings");
   }
   if (checked == 0) return;
   std::printf("osim-check: %zu cell(s) checked, %llu error(s), "
@@ -240,7 +113,7 @@ void report_checks(const std::string& path, const std::string& bench,
   if (errors == 0) return;
   fail(path + ": bench '" + bench + "' recorded osim-check violations");
   for (const Cell& c : b.cells) {
-    if (check_u64(c.check, "errors") == 0) continue;
+    if (c.check_count("errors") == 0) continue;
     const Json* findings = c.check->find("findings");
     if (findings == nullptr) continue;
     for (const auto& [unused, f] : findings->items()) {
@@ -255,370 +128,6 @@ void report_checks(const std::string& path, const std::string& bench,
     }
   }
 }
-
-std::uint64_t metric_u64(const Cell& c, const std::string& key) {
-  if (c.metrics == nullptr) return 0;
-  const Json* m = c.metrics->find(key);
-  if (m == nullptr) return 0;
-  if (m->is_number()) return m->as_u64();
-  const Json* total = m->find("total");  // per-core counter vector
-  return total == nullptr ? 0 : total->as_u64();
-}
-
-// ---------------------------------------------------------------------------
-// Per-figure formatters. Each mirrors the ratio logic of its bench's own
-// print code, reconstructed from cell names.
-// ---------------------------------------------------------------------------
-
-/// Rows keyed by the name prefix before "/<axis>=..."; columns in first-seen
-/// order of the axis value. Returns {row order, row -> axis -> cell}.
-struct Grid {
-  std::vector<std::string> rows;
-  std::vector<std::string> cols;
-  std::map<std::string, std::map<std::string, const Cell*>> at;
-
-  void add(const std::string& r, const std::string& c, const Cell* cell) {
-    if (at.find(r) == at.end()) rows.push_back(r);
-    if (std::find(cols.begin(), cols.end(), c) == cols.end()) {
-      cols.push_back(c);
-    }
-    at[r][c] = cell;
-  }
-  const Cell* cell(const std::string& r, const std::string& c) const {
-    auto it = at.find(r);
-    if (it == at.end()) return nullptr;
-    auto jt = it->second.find(c);
-    return jt == it->second.end() ? nullptr : jt->second;
-  }
-};
-
-/// Cells named "row/axis" -> grid (axis = last path segment).
-Grid grid_by_last(const BenchRecord& b) {
-  Grid g;
-  for (const Cell& c : b.cells) {
-    const std::size_t cut = c.name.rfind('/');
-    if (cut == std::string::npos) continue;
-    g.add(c.name.substr(0, cut), c.name.substr(cut + 1), &c);
-  }
-  return g;
-}
-
-void report_table2(const BenchRecord& b) {
-  md_header({"probe", "measured cycles"});
-  for (const Cell& c : b.cells) md_row({c.name, std::to_string(c.cycles)});
-}
-
-void report_fig6(const BenchRecord& b) {
-  // Cells: "name/size/mix/{seq,par}" (or "name/{seq,par}" for the regular
-  // codes). Ratio = seq / par, pivoted to the EXPERIMENTS.md columns.
-  Grid g = grid_by_last(b);  // row = name[/size/mix], col = seq|par
-  const std::vector<std::string> cols = {"small 4R-1W", "small 1R-1W",
-                                         "large 4R-1W", "large 1R-1W"};
-  std::vector<std::string> order;
-  std::map<std::string, std::map<std::string, std::string>> table;
-  for (const std::string& key : g.rows) {
-    const Cell* seq = g.cell(key, "seq");
-    const Cell* par = g.cell(key, "par");
-    if (seq == nullptr || par == nullptr) continue;
-    const std::vector<std::string> parts = split(key);
-    const std::string bench = parts[0];
-    const std::string col =
-        parts.size() >= 3 ? parts[1] + " " + parts[2] : cols[0];
-    if (table.find(bench) == table.end()) order.push_back(bench);
-    table[bench][col] = fmt(ratio(seq->cycles, par->cycles));
-  }
-  md_header({"benchmark", cols[0], cols[1], cols[2], cols[3]});
-  for (const std::string& bench : order) {
-    std::vector<std::string> row{bench};
-    for (const std::string& col : cols) {
-      auto it = table[bench].find(col);
-      row.push_back(it == table[bench].end() ? "" : it->second);
-    }
-    md_row(row);
-  }
-}
-
-void report_fig7(const BenchRecord& b) {
-  // Cells: "name/cores=N"; speedup over the same workload's cores=1 cell.
-  Grid g = grid_by_last(b);
-  std::vector<std::string> header{"benchmark"};
-  for (const std::string& c : g.cols) {
-    if (c != "cores=1") header.push_back(c.substr(std::strlen("cores=")));
-  }
-  md_header(header);
-  for (const std::string& r : g.rows) {
-    const Cell* base = g.cell(r, "cores=1");
-    if (base == nullptr) continue;
-    std::vector<std::string> row{r};
-    for (const std::string& c : g.cols) {
-      if (c == "cores=1") continue;
-      const Cell* cell = g.cell(r, c);
-      row.push_back(cell == nullptr ? ""
-                                    : fmt(ratio(base->cycles, cell->cycles)));
-    }
-    md_row(row);
-  }
-}
-
-void report_fig8(const BenchRecord& b) {
-  // Cells: "range=R/cores=N/{versioned,rwlock}"; ratio = rwlock/versioned.
-  Grid g = grid_by_last(b);  // row = range=R/cores=N
-  std::vector<std::string> ranges, cores;
-  for (const std::string& r : g.rows) {
-    const std::vector<std::string> parts = split(r);
-    if (parts.size() != 2) continue;
-    if (std::find(ranges.begin(), ranges.end(), parts[0]) == ranges.end()) {
-      ranges.push_back(parts[0]);
-    }
-    if (std::find(cores.begin(), cores.end(), parts[1]) == cores.end()) {
-      cores.push_back(parts[1]);
-    }
-  }
-  std::vector<std::string> header{"scan range"};
-  for (const std::string& c : cores) {
-    header.push_back(c.substr(std::strlen("cores=")) +
-                     (c == cores.front() ? " core" : ""));
-  }
-  md_header(header);
-  double ver_self = 0.0, rw_self = 0.0;
-  int self_count = 0;
-  for (const std::string& rg : ranges) {
-    std::vector<std::string> row{rg.substr(std::strlen("range="))};
-    for (const std::string& c : cores) {
-      const Cell* ver = g.cell(rg + "/" + c, "versioned");
-      const Cell* rw = g.cell(rg + "/" + c, "rwlock");
-      row.push_back(ver == nullptr || rw == nullptr
-                        ? ""
-                        : fmt(ratio(rw->cycles, ver->cycles)));
-    }
-    md_row(row);
-    const Cell* v1 = g.cell(rg + "/" + cores.front(), "versioned");
-    const Cell* vN = g.cell(rg + "/" + cores.back(), "versioned");
-    const Cell* r1 = g.cell(rg + "/" + cores.front(), "rwlock");
-    const Cell* rN = g.cell(rg + "/" + cores.back(), "rwlock");
-    if (v1 && vN && r1 && rN) {
-      ver_self += ratio(v1->cycles, vN->cycles);
-      rw_self += ratio(r1->cycles, rN->cycles);
-      ++self_count;
-    }
-  }
-  if (self_count > 0) {
-    std::printf(
-        "\nSelf-speedups %s -> %s: versioned %.1f, rwlock %.1f\n",
-        cores.front().c_str(), cores.back().c_str(), ver_self / self_count,
-        rw_self / self_count);
-  }
-}
-
-void report_fig9(const BenchRecord& b) {
-  // Cells: "label/l1=KKB"; ratio = cycles(32KB) / cycles(K).
-  Grid g = grid_by_last(b);
-  std::vector<std::string> header{"run"};
-  for (const std::string& c : g.cols) {
-    header.push_back(c.substr(std::strlen("l1=")));
-  }
-  md_header(header);
-  for (const std::string& r : g.rows) {
-    const Cell* base = g.cell(r, "l1=32KB");
-    if (base == nullptr) continue;
-    std::vector<std::string> row{r};
-    for (const std::string& c : g.cols) {
-      const Cell* cell = g.cell(r, c);
-      row.push_back(cell == nullptr ? ""
-                                    : fmt(ratio(base->cycles, cell->cycles)));
-    }
-    md_row(row);
-  }
-}
-
-void report_fig10(const BenchRecord& b) {
-  // Cells: "label/+Ncyc"; slowdown = cycles(+0)/cycles(+N) - 1.
-  Grid g = grid_by_last(b);
-  std::vector<std::string> header{"run"};
-  for (const std::string& c : g.cols) {
-    if (c != "+0cyc") header.push_back(c);
-  }
-  md_header(header);
-  for (const std::string& r : g.rows) {
-    const Cell* base = g.cell(r, "+0cyc");
-    if (base == nullptr) continue;
-    std::vector<std::string> row{r};
-    for (const std::string& c : g.cols) {
-      if (c == "+0cyc") continue;
-      const Cell* cell = g.cell(r, c);
-      row.push_back(
-          cell == nullptr
-              ? ""
-              : fmt(ratio(base->cycles, cell->cycles) - 1.0, 3));
-    }
-    md_row(row);
-  }
-}
-
-/// Compact rendering of a gc/* batch histogram out of a cell's metric
-/// snapshot: "n=N mean=M; <=b0:c0 <=b1:c1 ... >bk:ck".
-std::string hist_text(const Cell& c, const std::string& key) {
-  if (c.metrics == nullptr) return "";
-  const Json* h = c.metrics->find(key);
-  if (h == nullptr) return "";
-  const Json* count = h->find("count");
-  const Json* sum = h->find("sum");
-  const Json* bounds = h->find("bounds");
-  const Json* buckets = h->find("buckets");
-  if (count == nullptr || sum == nullptr || bounds == nullptr ||
-      buckets == nullptr || count->as_u64() == 0) {
-    return "(no samples)";
-  }
-  std::string out = "n=" + std::to_string(count->as_u64()) +
-                    " mean=" + fmt(ratio(sum->as_u64(), count->as_u64()), 1);
-  std::size_t i = 0;
-  for (const auto& [unused, n] : buckets->items()) {
-    (void)unused;
-    if (n.as_u64() != 0) {
-      const Json* bound = i < bounds->items().size()
-                              ? &bounds->items()[i].second
-                              : nullptr;
-      out += bound != nullptr
-                 ? " <=" + std::to_string(bound->as_u64()) + ":" +
-                       std::to_string(n.as_u64())
-                 : " overflow:" + std::to_string(n.as_u64());
-    }
-    ++i;
-  }
-  return out;
-}
-
-void report_gc(const BenchRecord& b) {
-  const Cell* ample = b.find("ample");
-  md_header(
-      {"config", "cycles", "GC phases", "OS traps", "blocks freed",
-       "vs ample"});
-  for (const Cell& c : b.cells) {
-    if (c.name.find("/gc=") != std::string::npos) continue;
-    md_row({c.name, std::to_string(c.cycles),
-            std::to_string(metric_u64(c, "gc/phases")),
-            std::to_string(metric_u64(c, "osm/os_traps")),
-            std::to_string(metric_u64(c, "osm/blocks_freed")),
-            ample == nullptr || &c == ample
-                ? "0.000%"
-                : fmt(100.0 * (ratio(c.cycles, ample->cycles) - 1.0), 3) +
-                      "%"});
-  }
-  // GC policy comparison: the bench's pinned tight/gc=... cell pair, same
-  // workload under each reclamation policy. "GC runs" is phases (paper) or
-  // sweeps (bounded); the batch distribution is each policy's own
-  // histogram (blocks parked per phase / reclaimed per sweep). The
-  // reclaim-lag and version-lifetime *cycle* distributions per policy come
-  // from the per-cell traces — run the bench with --trace and pass it
-  // here; the trace sections below are labeled with each cell's policy.
-  const Cell* paper = b.find("tight/gc=paper");
-  const Cell* bounded = b.find("tight/gc=bounded");
-  if (paper == nullptr || bounded == nullptr) return;
-  std::printf("\nGC policy comparison (tight configuration):\n\n");
-  md_header({"policy", "cycles", "GC runs", "blocks freed", "vs paper",
-             "batch distribution"});
-  for (const Cell* c : {paper, bounded}) {
-    md_row({c->gc, std::to_string(c->cycles),
-            std::to_string(metric_u64(*c, "gc/phases") +
-                           metric_u64(*c, "gc/sweeps")),
-            std::to_string(metric_u64(*c, "osm/blocks_freed")),
-            c == paper ? "0.000%"
-                       : fmt(100.0 * (ratio(c->cycles, paper->cycles) - 1.0),
-                             3) + "%",
-            hist_text(*c, c->gc == "bounded" ? "gc/reclaim_batch_blocks"
-                                             : "gc/pending_batch_blocks")});
-  }
-}
-
-void report_ablation(const BenchRecord& b) {
-  // Cells: "label/variant"; ratio = cycles(baseline) / cycles(variant).
-  Grid g = grid_by_last(b);
-  std::vector<std::string> header{"run"};
-  header.insert(header.end(), g.cols.begin(), g.cols.end());
-  md_header(header);
-  for (const std::string& r : g.rows) {
-    const Cell* base = g.cell(r, "baseline");
-    if (base == nullptr) continue;
-    std::vector<std::string> row{r};
-    for (const std::string& c : g.cols) {
-      const Cell* cell = g.cell(r, c);
-      row.push_back(cell == nullptr
-                        ? ""
-                        : fmt(ratio(base->cycles, cell->cycles), 3));
-    }
-    md_row(row);
-  }
-}
-
-void report_chaos(const BenchRecord& b) {
-  // Cells: "r<round>/{serial,conc}" from osim-chaos, each recording the
-  // fault-injection degradation counters — rollbacks performed, what the
-  // rollbacks undid (blocks unlinked, locks released), task re-runs, tasks
-  // past the retry cap — and the checker verdict over the whole (aborts
-  // included) event stream. Both engines report through the facade's
-  // EngineStats, so every column reads the same keys for either row.
-  md_header({"round/engine", "ops", "aborts", "undone blocks",
-             "undone locks", "retries", "giveups", "backoff us", "checker"});
-  for (const Cell& c : b.cells) {
-    std::string verdict = "(unchecked)";
-    if (c.check != nullptr) {
-      const std::uint64_t errors = check_u64(c.check, "errors");
-      const std::uint64_t warnings = check_u64(c.check, "warnings");
-      verdict = errors != 0     ? std::to_string(errors) + " error(s)"
-                : warnings != 0 ? std::to_string(warnings) + " warning(s)"
-                                : "clean";
-    }
-    md_row({c.name, std::to_string(c.ops),
-            std::to_string(metric_u64(c, "chaos/aborts")),
-            std::to_string(metric_u64(c, "chaos/aborted_blocks")),
-            std::to_string(metric_u64(c, "chaos/aborted_locks")),
-            std::to_string(metric_u64(c, "chaos/retries")),
-            std::to_string(metric_u64(c, "chaos/giveups")),
-            std::to_string(metric_u64(c, "chaos/backoff_us")), verdict});
-  }
-}
-
-void report_sw_vs_hw(const BenchRecord& b) {
-  // Cells: "{hw,sw}/cores=N"; ratio = sw / hw.
-  md_header({"cores", "hardware cycles", "software cycles", "sw/hw"});
-  for (const Cell& c : b.cells) {
-    const std::vector<std::string> parts = split(c.name);
-    if (parts.size() != 2 || parts[0] != "hw") continue;
-    const Cell* sw = b.find("sw/" + parts[1]);
-    if (sw == nullptr) continue;
-    md_row({parts[1].substr(std::strlen("cores=")), std::to_string(c.cycles),
-            std::to_string(sw->cycles), fmt(ratio(sw->cycles, c.cycles))});
-  }
-}
-
-struct Formatter {
-  const char* bench;
-  const char* title;
-  void (*print)(const BenchRecord&);
-};
-
-const Formatter kFormatters[] = {
-    {"table2_platform", "Table II — delivered latencies", report_table2},
-    {"fig6_speedup",
-     "Figure 6 — speedup of 32-core versioned over sequential unversioned",
-     report_fig6},
-    {"fig7_scalability",
-     "Figure 7 — scalability over sequential versioned", report_fig7},
-    {"fig8_snapshot", "Figure 8 — versioned tree / rwlock tree",
-     report_fig8},
-    {"fig9_l1size", "Figure 9 — L1 size sensitivity (vs 32 KB)",
-     report_fig9},
-    {"fig10_latency",
-     "Figure 10 — slowdown under injected versioned-op latency",
-     report_fig10},
-    {"gc_overhead", "Sec. IV-F — GC overhead", report_gc},
-    {"ablation", "Ablation — performance relative to baseline",
-     report_ablation},
-    {"sw_vs_hw", "Hardware vs software O-structures", report_sw_vs_hw},
-    {"chaos_soak",
-     "Chaos soak — graceful degradation under injected faults",
-     report_chaos},
-};
 
 // ---------------------------------------------------------------------------
 // Trace analysis
@@ -772,8 +281,9 @@ std::vector<std::string> expand_trace_arg(const std::string& p) {
       "  Prints the per-figure tables from bench --json files, plus\n"
       "  lifetime/lock statistics from binary event traces.\n"
       "  --trace PATH   read PATH, or PATH.0, PATH.1, ... (per-cell files)\n"
-      "  --validate     exit non-zero unless every input is well-formed\n"
-      "                 and every recorded self-check passed\n");
+      "  --validate     exit non-zero unless every input is well-formed,\n"
+      "                 every recorded self-check passed and every bench\n"
+      "                 has a table formatter\n");
   std::exit(code);
 }
 
@@ -841,17 +351,9 @@ int main(int argc, char** argv) {
         fail(path + ": bench '" + name + "' recorded failed self-checks");
       }
       report_checks(path, name, rec);
-      const Formatter* f = nullptr;
-      for (const Formatter& cand : kFormatters) {
-        if (name == cand.bench) f = &cand;
+      if (!report::render(std::cout, name, rec)) {
+        fail(path + ": bench '" + name + "' has no table formatter");
       }
-      if (f == nullptr) {
-        std::printf("(no table formatter for this bench; %zu cells)\n",
-                    rec.cells.size());
-        continue;
-      }
-      std::printf("%s\n\n", f->title);
-      f->print(rec);
     }
   }
 
