@@ -290,6 +290,29 @@ void ConcurrentVersionStore::release(OAddr base, std::size_t slots) {
 }
 
 // ---------------------------------------------------------------------------
+// Locked chain lookup
+
+ConcurrentVersionStore::Seek ConcurrentVersionStore::seek(Shard& sh,
+                                                          const CSlot& sl,
+                                                          Ver key) {
+  // Chains are strictly descending (check_integrity and osim-mc audit it),
+  // so the first version <= key ends the walk. try_read keeps its own walk:
+  // it runs without the lock and needs acquire loads and walk_limit.
+  Seek at;
+  for (at.cur = sl.head.load(std::memory_order_relaxed); at.cur != kNil;) {
+    const CBlock& cb = block(sh, at.cur);
+    const Ver v = cb.version.load(std::memory_order_relaxed);
+    if (v <= key) {
+      at.exact = v == key;
+      break;
+    }
+    at.pred = at.cur;
+    at.cur = cb.next.load(std::memory_order_relaxed);
+  }
+  return at;
+}
+
+// ---------------------------------------------------------------------------
 // Block pool and reclamation
 
 std::uint32_t ConcurrentVersionStore::trace_id(Shard& sh, std::uint32_t b) {
@@ -415,14 +438,10 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
       continue;  // slot released; release() already retired the chain
     }
     CSlot& sl = *sp;
-    // Unlink under a seqlock write window.
-    std::uint32_t pred = kNil;
-    std::uint32_t cur = sl.head.load(std::memory_order_relaxed);
-    while (cur != kNil && cur != sd.block) {
-      pred = cur;
-      cur = block(sh, cur).next.load(std::memory_order_relaxed);
-    }
-    if (cur == kNil) {
+    // Unlink under a seqlock write window. A linked block's version never
+    // changes, so the seek for it lands on the block itself.
+    const Seek at = seek(sh, sl, sd.version);
+    if (at.cur != sd.block) {
       // Unreachable: a block leaves its chain only through release()
       // (which erases every entry for the slot) or a retire here (which
       // purges every entry for the block). Keep the entry rather than
@@ -436,10 +455,10 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
     sl.seq.store(sq + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
     const std::uint32_t nx = cb.next.load(std::memory_order_relaxed);
-    if (pred == kNil) {
+    if (at.pred == kNil) {
       sl.head.store(nx, std::memory_order_relaxed);
     } else {
-      block(sh, pred).next.store(nx, std::memory_order_relaxed);
+      block(sh, at.pred).next.store(nx, std::memory_order_relaxed);
     }
     sl.nversions.fetch_sub(1, std::memory_order_relaxed);
     sl.seq.store(sq + 2, std::memory_order_release);
@@ -705,25 +724,17 @@ ConcurrentVersionStore::ReadOutcome ConcurrentVersionStore::read_serialized(
   ShardLock g(*this, sh);
   ReadOutcome out;
   out.seq = sl.seq.load(std::memory_order_relaxed);
-  for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-       b != kNil;) {
-    CBlock& cb = block(sh, b);
-    const Ver v = cb.version.load(std::memory_order_relaxed);
-    const bool match = exact ? v == key : v <= key;
-    if (match) {
-      if (cb.locked_by.load(std::memory_order_relaxed) == kNoTask) {
-        out.ok = true;
-        out.got = v;
-        out.data = cb.data.load(std::memory_order_relaxed);
-        // Semantic point of the read, still inside the writer lock: the
-        // event stream interleaves store < read for any version this read
-        // observed, which is what the checker's dataflow joins need.
-        emit(telemetry::EventType::kVersionRead, op, a, v, key);
-      }
-      return out;
-    }
-    if (exact && v < key) return out;
-    b = cb.next.load(std::memory_order_relaxed);
+  const Seek at = seek(sh, sl, key);
+  if (exact ? !at.exact : at.cur == kNil) return out;
+  CBlock& cb = block(sh, at.cur);
+  if (cb.locked_by.load(std::memory_order_relaxed) == kNoTask) {
+    out.ok = true;
+    out.got = cb.version.load(std::memory_order_relaxed);
+    out.data = cb.data.load(std::memory_order_relaxed);
+    // Semantic point of the read, still inside the writer lock: the event
+    // stream interleaves store < read for any version this read observed,
+    // which is what the checker's dataflow joins need.
+    emit(telemetry::EventType::kVersionRead, op, a, out.got, key);
   }
   return out;
 }
@@ -775,56 +786,37 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
   // just-retired cur back as the new block — so the insert below corrupts
   // the chain (lost store, or a self-loop when nb == cur). osim-mc finds
   // the interleaving via the gc_fence litmus and check_integrity().
-  std::uint32_t pred = kNil;
-  std::uint32_t cur = sl.head.load(std::memory_order_relaxed);
-  while (cur != kNil) {
-    CBlock& cb = block(sh, cur);
-    const Ver cv = cb.version.load(std::memory_order_relaxed);
-    if (cv == v) {
-      throw OFault(FaultKind::kVersionAlreadyExists,
-                   "version " + std::to_string(v) + " already exists");
-    }
-    if (cv < v) break;
-    pred = cur;
-    cur = cb.next.load(std::memory_order_relaxed);
+  const Seek at = seek(sh, sl, v);
+  if (at.exact) {
+    throw OFault(FaultKind::kVersionAlreadyExists,
+                 "version " + std::to_string(v) + " already exists");
   }
   const std::uint32_t nb = alloc_block(sh);
 #else
-  // Allocate before walking, like the serial store_impl: alloc_block may
+  // Allocate before seeking, like the serial store_impl: alloc_block may
   // run a reclaim pass that unlinks shadowed blocks from this very chain
-  // (possibly the walk's pred or cur), and its limbo harvest could even
+  // (possibly the seek's pred or cur), and its limbo harvest could even
   // hand a just-unlinked block back as nb. The fresh block itself is not
-  // reachable from any chain, so the walk below sees a stable
+  // reachable from any chain, so the seek below sees a stable
   // post-reclaim list.
   const std::uint32_t nb = alloc_block(sh);
-
-  // Walk to the insertion point. We hold the shard writer lock, so plain
-  // relaxed loads are exact; lists are kept sorted newest-first.
-  std::uint32_t pred = kNil;
-  std::uint32_t cur = sl.head.load(std::memory_order_relaxed);
-  while (cur != kNil) {
-    CBlock& cb = block(sh, cur);
-    const Ver cv = cb.version.load(std::memory_order_relaxed);
-    if (cv == v) {
-      // Duplicate version: hand the never-linked block straight back to
-      // the free list before faulting (serial store_impl's recycle). No
-      // trace event — kBlockAlloc is only emitted once the block is
-      // linked, so the checker never saw this one.
-      sh.free_list.push_back(nb);
-      --sh.allocated;
-      throw OFault(FaultKind::kVersionAlreadyExists,
-                   "version " + std::to_string(v) + " already exists");
-    }
-    if (cv < v) break;
-    pred = cur;
-    cur = cb.next.load(std::memory_order_relaxed);
+  const Seek at = seek(sh, sl, v);
+  if (at.exact) {
+    // Duplicate version: hand the never-linked block straight back to the
+    // free list before faulting (serial store_impl's recycle). No trace
+    // event — kBlockAlloc is only emitted once the block is linked, so the
+    // checker never saw this one.
+    sh.free_list.push_back(nb);
+    --sh.allocated;
+    throw OFault(FaultKind::kVersionAlreadyExists,
+                 "version " + std::to_string(v) + " already exists");
   }
 #endif
   CBlock& b = block(sh, nb);
   b.version.store(v, std::memory_order_relaxed);
   b.data.store(data, std::memory_order_relaxed);
   b.locked_by.store(kNoTask, std::memory_order_relaxed);
-  b.next.store(cur, std::memory_order_relaxed);
+  b.next.store(at.cur, std::memory_order_relaxed);
 
   // Seqlock write side, following snippet 1's discipline. The snippet's
   // point about barrier placement: the release fence must sit *between*
@@ -838,10 +830,10 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
   const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
   sl.seq.store(sq + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  if (pred == kNil) {
+  if (at.pred == kNil) {
     sl.head.store(nb, std::memory_order_relaxed);
   } else {
-    block(sh, pred).next.store(nb, std::memory_order_relaxed);
+    block(sh, at.pred).next.store(nb, std::memory_order_relaxed);
   }
   sl.nversions.fetch_add(1, std::memory_order_relaxed);
   sl.seq.store(sq + 2, std::memory_order_release);
@@ -853,14 +845,14 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
   // by its immediately-newer neighbour.
   std::uint32_t shadowed = kNil;
   Ver shadower = 0;
-  if (pred == kNil) {
-    if (cur != kNil) {
-      shadowed = cur;
+  if (at.pred == kNil) {
+    if (at.cur != kNil) {
+      shadowed = at.cur;
       shadower = v;
     }
   } else {
     shadowed = nb;
-    shadower = block(sh, pred).version.load(std::memory_order_relaxed);
+    shadower = block(sh, at.pred).version.load(std::memory_order_relaxed);
   }
   if (shadowed != kNil) {
     sh.shadowed.push_back(
@@ -912,20 +904,9 @@ std::uint64_t ConcurrentVersionStore::lock_load_common(OAddr a, bool exact,
     std::uint32_t seq_seen;
     {
       ShardLock g(*this, sh);
-      std::uint32_t cand = kNil;
-      for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-           b != kNil;) {
-        CBlock& cb = block(sh, b);
-        const Ver v = cb.version.load(std::memory_order_relaxed);
-        if (exact ? v == key : v <= key) {
-          cand = b;
-          break;
-        }
-        if (exact && v < key) break;
-        b = cb.next.load(std::memory_order_relaxed);
-      }
-      if (cand != kNil) {
-        CBlock& cb = block(sh, cand);
+      const Seek at = seek(sh, sl, key);
+      if (exact ? at.exact : at.cur != kNil) {
+        CBlock& cb = block(sh, at.cur);
         if (cb.locked_by.load(std::memory_order_relaxed) == kNoTask) {
           // Taking the lock needs no seqlock window: optimistic readers
           // that read the pre-lock state linearize before the acquisition
@@ -978,22 +959,15 @@ void ConcurrentVersionStore::unlock_version(OAddr a, Ver locked_v,
   }
   {
     ShardLock g(*this, sh);
-    std::uint32_t target = kNil;
-    bool rename_exists = false;
-    for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-         b != kNil;) {
-      CBlock& cb = block(sh, b);
-      const Ver v = cb.version.load(std::memory_order_relaxed);
-      if (v == locked_v) target = b;
-      if (rename_to.has_value() && v == *rename_to) rename_exists = true;
-      b = cb.next.load(std::memory_order_relaxed);
-    }
-    if (target == kNil) {
+    // Two seeks, as in the serial engine: each costs only the versions
+    // above its key, and both run before anything mutates.
+    const Seek at = seek(sh, sl, locked_v);
+    if (!at.exact) {
       throw OFault(FaultKind::kNotLockOwner,
                    "unlock of nonexistent version " +
                        std::to_string(locked_v));
     }
-    CBlock& cb = block(sh, target);
+    CBlock& cb = block(sh, at.cur);
     const TaskId holder = cb.locked_by.load(std::memory_order_relaxed);
     if (holder != owner) {
       throw OFault(FaultKind::kNotLockOwner,
@@ -1001,7 +975,7 @@ void ConcurrentVersionStore::unlock_version(OAddr a, Ver locked_v,
                        std::to_string(holder) + ", unlock by " +
                        std::to_string(owner));
     }
-    if (rename_exists) {
+    if (rename_to.has_value() && seek(sh, sl, *rename_to).exact) {
       throw OFault(FaultKind::kRenameTargetExists,
                    std::to_string(*rename_to));
     }
@@ -1122,22 +1096,11 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
     bool changed = false;
     {
       ShardLock g(*this, sh);
-      std::uint32_t pred = kNil;
-      std::uint32_t cur = sl.head.load(std::memory_order_relaxed);
-      while (cur != kNil) {
-        const Ver v = block(sh, cur).version.load(std::memory_order_relaxed);
-        if (v == e.version) break;
-        if (v < e.version) {
-          cur = kNil;  // sorted newest-first: the version is gone
-          break;
-        }
-        pred = cur;
-        cur = block(sh, cur).next.load(std::memory_order_relaxed);
-      }
-      if (cur == kNil) {
+      const Seek at = seek(sh, sl, e.version);
+      if (!at.exact) {
         return false;  // reclaimed (or released) before the abort
       }
-      CBlock& cb = block(sh, cur);
+      CBlock& cb = block(sh, at.cur);
       if (e.kind == UndoEntry::Kind::kLock) {
         if (cb.locked_by.load(std::memory_order_relaxed) != t) {
           return false;  // already unlocked (or re-locked by another task)
@@ -1162,10 +1125,10 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
         sl.seq.store(sq + 1, std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_release);
         const std::uint32_t nx = cb.next.load(std::memory_order_relaxed);
-        if (pred == kNil) {
+        if (at.pred == kNil) {
           sl.head.store(nx, std::memory_order_relaxed);
         } else {
-          block(sh, pred).next.store(nx, std::memory_order_relaxed);
+          block(sh, at.pred).next.store(nx, std::memory_order_relaxed);
         }
         cb.locked_by.store(kNoTask, std::memory_order_relaxed);
         sl.nversions.fetch_sub(1, std::memory_order_relaxed);
@@ -1179,7 +1142,7 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
         sh.shadowed.erase(
             std::remove_if(sh.shadowed.begin(), sh.shadowed.end(),
                            [&](const Shadowed& x) {
-                             if (x.block == cur) return true;
+                             if (x.block == at.cur) return true;
                              if (x.slot != slot || x.shadower != v) {
                                return false;
                              }
@@ -1195,9 +1158,9 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
             sh.shadowed.end());
         if (tracing()) {
           emit(telemetry::EventType::kBlockFreed, OpCode{},
-               ostruct_addr(e.slot), e.version, trace_id(sh, cur));
+               ostruct_addr(e.slot), e.version, trace_id(sh, at.cur));
         }
-        sh.limbo.push_back({cur, epoch});
+        sh.limbo.push_back({at.cur, epoch});
         freed_any = true;
         changed = true;
       }
@@ -1232,15 +1195,9 @@ std::optional<std::uint64_t> ConcurrentVersionStore::peek_version(OAddr a,
   Shard& sh = shard_of(slot);
   CSlot& sl = *slot_ptr(slot);
   ShardLock g(*this, sh);
-  for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-       b != kNil;) {
-    CBlock& cb = block(sh, b);
-    const Ver cv = cb.version.load(std::memory_order_relaxed);
-    if (cv == v) return cb.data.load(std::memory_order_relaxed);
-    if (cv < v) return std::nullopt;
-    b = cb.next.load(std::memory_order_relaxed);
-  }
-  return std::nullopt;
+  const Seek at = seek(sh, sl, v);
+  if (!at.exact) return std::nullopt;
+  return block(sh, at.cur).data.load(std::memory_order_relaxed);
 }
 
 std::optional<Ver> ConcurrentVersionStore::newest_version(OAddr a) {
@@ -1258,18 +1215,10 @@ std::optional<TaskId> ConcurrentVersionStore::lock_holder(OAddr a, Ver v) {
   Shard& sh = shard_of(slot);
   CSlot& sl = *slot_ptr(slot);
   ShardLock g(*this, sh);
-  for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-       b != kNil;) {
-    CBlock& cb = block(sh, b);
-    const Ver cv = cb.version.load(std::memory_order_relaxed);
-    if (cv == v) {
-      const TaskId l = cb.locked_by.load(std::memory_order_relaxed);
-      return l == kNoTask ? std::nullopt : std::optional<TaskId>(l);
-    }
-    if (cv < v) break;
-    b = cb.next.load(std::memory_order_relaxed);
-  }
-  return std::nullopt;
+  const Seek at = seek(sh, sl, v);
+  if (!at.exact) return std::nullopt;
+  const TaskId l = block(sh, at.cur).locked_by.load(std::memory_order_relaxed);
+  return l == kNoTask ? std::nullopt : std::optional<TaskId>(l);
 }
 
 int ConcurrentVersionStore::version_count(OAddr a) {

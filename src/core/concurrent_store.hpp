@@ -398,6 +398,17 @@ class ConcurrentVersionStore : public VersionEngine {
   void wake(Shard& sh);
 
   // ---- Serialized store/unlock internals (writer_mu held) ----
+  /// Where `key` falls in a slot's newest-first chain: `cur` is the first
+  /// block whose version is <= key (kNil past the tail), `pred` the block
+  /// before it (kNil at the head), and `exact` says cur holds key itself.
+  struct Seek {
+    std::uint32_t pred = kNil;
+    std::uint32_t cur = kNil;
+    bool exact = false;
+  };
+  /// The one locked chain lookup: relaxed loads are exact under writer_mu,
+  /// and the walk stops at the key, so it costs the versions above it.
+  Seek seek(Shard& sh, const CSlot& sl, Ver key) OSIM_REQUIRES(sh.writer_mu);
   void store_locked(Shard& sh, CSlot& sl, std::uint64_t slot, Ver v,
                     std::uint64_t data) OSIM_REQUIRES(sh.writer_mu);
   std::uint32_t trace_id(Shard& sh, std::uint32_t b)

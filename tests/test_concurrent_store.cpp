@@ -1,8 +1,9 @@
 // Stress and correctness tests for the thread-safe engine
 // (core/concurrent_store.hpp): final-state equivalence across worker
 // counts, mutual exclusion through version locks, seqlock torn-read
-// detection, reclamation under concurrent optimistic readers, and the
-// deadlock fault diagnostics. tools/run-sanitizers.sh runs this
+// detection, reclamation under concurrent optimistic readers, the
+// deadlock fault diagnostics, fault parity with the serial engine, and
+// locked lookups on a long chain. tools/run-sanitizers.sh runs this
 // binary under TSan — the seqlock and epoch machinery is designed to be
 // data-race-free at the C++ memory-model level, not merely "works on
 // x86".
@@ -11,12 +12,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/concurrent_store.hpp"
 #include "core/fault.hpp"
 #include "runtime/concurrent.hpp"
+#include "runtime/env.hpp"
 #include "sim/machine.hpp"
 
 namespace osim {
@@ -425,26 +431,159 @@ TEST(ConcurrentStore, TaskOrderRulesMatchSerialEngine) {
   }
 }
 
+/// What one op did: "ok", or the name of the FaultKind it raised.
+template <typename Op>
+std::string outcome(Op&& op) {
+  try {
+    op();
+  } catch (const OFault& f) {
+    return to_string(f.kind());
+  }
+  return "ok";
+}
+
+/// The unlock fault sequence of FaultParityWithSerialEngine, on slot `a` of
+/// either engine; returns every step's outcome in order. On the chain
+/// 9, 7, 5, 3 with 7 locked by task 3, the unlock checks run in the serial
+/// engine's order (version exists, then owner, then rename target), and a
+/// rename target above, below or at the locked version all exist.
+std::vector<std::string> unlock_fault_sequence(VersionEngine& e, OAddr a) {
+  const std::string ok = "ok";
+  const std::string exists = to_string(FaultKind::kVersionAlreadyExists);
+  const std::string unversioned =
+      to_string(FaultKind::kVersionedAccessToUnversionedPage);
+  const std::string not_owner = to_string(FaultKind::kNotLockOwner);
+  const std::string target_exists =
+      to_string(FaultKind::kRenameTargetExists);
+  std::vector<std::string> got;
+  auto step = [&got](const std::string& want, auto&& op) {
+    got.push_back(outcome(op));
+    EXPECT_EQ(got.back(), want) << "step " << got.size();
+  };
+  step(ok, [&] { e.store_version(a, 7, 70); });
+  step(exists, [&] { e.store_version(a, 7, 71); });
+  step(unversioned, [&] { e.load_version(a + 8, 1); });  // unallocated slot
+  step(not_owner, [&] { e.unlock_version(a, 7, 3); });   // never locked
+  step(ok, [&] { e.lock_load_version(a, 7, /*locker=*/3); });
+  step(not_owner, [&] { e.unlock_version(a, 7, /*owner=*/4); });
+  for (const Ver v : {9, 5, 3}) {
+    step(ok, [&] { e.store_version(a, v, 10 * v); });
+  }
+  step(not_owner, [&] { e.unlock_version(a, 6, 3, Ver{9}); });  // absent
+  step(not_owner, [&] { e.unlock_version(a, 7, 4, Ver{9}); });  // not owner
+  for (const Ver target : {9, 5, 3, 7}) {
+    step(target_exists, [&] { e.unlock_version(a, 7, 3, target); });
+    EXPECT_EQ(e.lock_holder(a, 7), std::optional<TaskId>(3))
+        << "after renaming onto " << target;
+  }
+  step(ok, [&] { e.unlock_version(a, 7, 3, Ver{6}); });  // absent target
+  EXPECT_FALSE(e.lock_holder(a, 7).has_value());
+  EXPECT_EQ(e.peek_version(a, 6), std::optional<std::uint64_t>(70));
+  EXPECT_EQ(e.version_count(a), 5);
+  return got;
+}
+
 // Serial-engine fault parity for the cases the diff test cannot reach
-// concurrently: duplicate stores, unversioned accesses, unlock by
-// non-owner, rename onto an existing version.
+// concurrently: duplicate stores, unversioned accesses, and every unlock
+// fault with its exact kind. The same sequence runs on a functional serial
+// VersionStore, and the two engines' outcomes must be equal step by step.
 TEST(ConcurrentStore, FaultParityWithSerialEngine) {
   ConcurrentVersionStore store;
   const OAddr a = store.alloc(1);
-  store.store_version(a, 7, 1);
-  EXPECT_THROW(store.store_version(a, 7, 2), OFault);  // duplicate
-  EXPECT_THROW(store.load_version(a + 8, 1), OFault);  // unallocated slot
-  EXPECT_THROW(store.unlock_version(a, 7, 3), OFault);  // never locked
-  store.lock_load_version(a, 7, /*locker=*/3);
-  EXPECT_THROW(store.unlock_version(a, 7, /*owner=*/4), OFault);
-  store.store_version(a, 9, 3);
-  EXPECT_THROW(store.unlock_version(a, 7, 3, /*rename_to=*/9), OFault);
-  store.unlock_version(a, 7, 3);
-  EXPECT_FALSE(store.lock_holder(a, 7).has_value());
+  std::vector<std::string> concurrent;
+  {
+    SCOPED_TRACE("concurrent engine");
+    concurrent = unlock_fault_sequence(store, a);
+  }
+  MachineConfig cfg;
+  cfg.num_cores = 1;
+  cfg.backend = BackendKind::kFunctional;
+  Env env(cfg);
+  std::vector<std::string> serial;
+  {
+    SCOPED_TRACE("functional serial engine");
+    serial = unlock_fault_sequence(env.engine(), env.engine().alloc(1));
+  }
+  EXPECT_EQ(concurrent, serial);
 
   store.release(a, 1);
-  EXPECT_THROW(store.load_version(a, 7), OFault);
+  EXPECT_EQ(outcome([&] { store.load_version(a, 7); }),
+            to_string(FaultKind::kVersionedAccessToUnversionedPage));
   EXPECT_FALSE(store.is_versioned_addr(a));
+}
+
+// Every locked lookup on one long chain built mostly by mid-list inserts:
+// 4096 versions stored in a seeded shuffled order, then peek, lock_holder,
+// version_count, LOAD-LATEST, LOCK-LOAD and LOCK-LOAD-LATEST (each unlocked
+// with and without a rename) at seeded random keys, each against a
+// std::map model. A lookup that stops one block early or late shows here.
+TEST(ConcurrentStore, LockedLookupsOnLongShuffledChainMatchModel) {
+  ConcurrentVersionStore store;
+  const OAddr a = store.alloc(1);
+  std::map<Ver, std::uint64_t> model;
+  // Even versions 2..8192, so every odd key is an absent one between two
+  // stored versions until a rename fills it.
+  constexpr Ver kNewest = 8192;
+  std::vector<Ver> order;
+  for (Ver v = 2; v <= kNewest; v += 2) order.push_back(v);
+  std::uint64_t seed = 0x5EEDC4A1ull;
+  for (std::size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[mix64(seed) % (i + 1)]);
+  }
+  for (const Ver v : order) {
+    store.store_version(a, v, data_for(v, 0));
+    model[v] = data_for(v, 0);
+  }
+  ASSERT_EQ(store.version_count(a), static_cast<int>(model.size()));
+
+  // The model's newest version <= cap (version 2 is stored, so any cap >= 2
+  // has one).
+  auto latest = [&model](Ver cap) {
+    return *std::prev(model.upper_bound(cap));
+  };
+  // Unlock `v`; with `rename`, rename it onto v + 1 when that is free — a
+  // mid-list insert right above it, or a head insert past the newest.
+  auto unlock = [&](Ver v, TaskId owner, bool rename) {
+    std::optional<Ver> to;
+    if (rename && model.count(v + 1) == 0) to = v + 1;
+    store.unlock_version(a, v, owner, to);
+    if (to.has_value()) model[*to] = model[v];
+    EXPECT_FALSE(store.lock_holder(a, v).has_value()) << v;
+  };
+  TaskId locker = 1000;
+  for (int i = 0; i < 512; ++i) {
+    const Ver k = mix64(seed) % (kNewest + 64);  // a little past the newest
+    const auto it = model.find(k);
+    EXPECT_EQ(store.peek_version(a, k),
+              it == model.end() ? std::nullopt
+                                : std::optional<std::uint64_t>(it->second))
+        << k;
+    EXPECT_FALSE(store.lock_holder(a, k).has_value()) << k;
+    if (k < 2) continue;  // nothing at or below the cap: the op would block
+    Ver found = 0;
+    EXPECT_EQ(store.load_latest(a, k, &found), latest(k).second) << k;
+    EXPECT_EQ(found, latest(k).first) << k;
+
+    const Ver exact = latest(k).first;
+    ++locker;
+    EXPECT_EQ(store.lock_load_version(a, exact, locker), model[exact]) << k;
+    EXPECT_EQ(store.lock_holder(a, exact), std::optional<TaskId>(locker));
+    unlock(exact, locker, i % 2 == 0);
+
+    const auto [want_v, want_data] = latest(k);
+    ++locker;
+    found = 0;
+    EXPECT_EQ(store.lock_load_latest(a, k, locker, &found), want_data) << k;
+    EXPECT_EQ(found, want_v) << k;
+    EXPECT_EQ(store.lock_holder(a, want_v), std::optional<TaskId>(locker));
+    unlock(want_v, locker, i % 3 == 0);
+    EXPECT_EQ(store.version_count(a), static_cast<int>(model.size())) << k;
+  }
+  for (const auto& [v, d] : model) {
+    ASSERT_EQ(store.peek_version(a, v), std::optional<std::uint64_t>(d)) << v;
+  }
+  const auto integrity = store.check_integrity();
+  EXPECT_TRUE(integrity.ok) << integrity.detail;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
     tools/perf-pairs.py REV [--out FILE]
     tools/perf-pairs.py --verdict FILE
+    tools/perf-pairs.py --trajectory FILE...
 
 The first form extracts REV's committed files (git archive) into
 .perf_pairs/<sha>/, then runs perfbench/run.py there and in the working
@@ -17,6 +18,13 @@ after each pair, so an interrupted run keeps what it measured.
 
 The second form only re-reads such a file and prints its verdict; it times
 nothing.
+
+The third form reads several such files, one per change, and prints for
+each workload and end-to-end metric every file's change/parent median
+ratio and the product of those ratios: the trajectory across the changes.
+It never compares absolute medians across files, because they move with
+the shared host from one file to the next. A file that lacks a workload or
+a metric prints n/a for it, and the product skips it.
 
 For each workload and end-to-end metric the verdict prints both sides'
 median and quartiles, the change of the median, how many pairs the working
@@ -188,6 +196,46 @@ def verdict(record, spec):
     return failures
 
 
+def trajectory(paths, spec):
+    """Prints each file's change/parent median ratio and their product."""
+    records = []
+    for path in paths:
+        try:
+            with open(path) as f:
+                records.append(json.load(f))
+        except (OSError, ValueError) as e:
+            die("cannot read %s: %s" % (path, e))
+    names = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    print("perf-pairs trajectory: change/parent median ratio per file, and "
+          "their product")
+    for name, record in zip(names, records):
+        meta = record.get("meta", {})
+        print("  %s: %s (parent) vs %s (change)"
+              % (name, meta.get("rev", "?")[:12], meta.get("commit", "?")))
+    width = max(9, max(len(n) for n in names) + 1)
+    print("\n%-17s %-15s%s %9s" % ("workload", "metric", "".join(
+        "%*s" % (width, n) for n in names), "product"))
+    for w in (x["name"] for x in spec["workloads"]):
+        for m in spec["end_to_end"]:
+            cells, product, used = [], 1.0, 0
+            for record in records:
+                pairs = record.get("workloads", {}).get(w)
+                try:
+                    p = side_stats(pairs, "parent", m["name"])["median"]
+                    c = side_stats(pairs, "change", m["name"])["median"]
+                    ratio = c / p
+                except (KeyError, TypeError, ZeroDivisionError,
+                        statistics.StatisticsError):
+                    cells.append("n/a")
+                    continue
+                cells.append("x%.3f" % ratio)
+                product *= ratio
+                used += 1
+            print("%-17s %-15s%s %9s" % (
+                w, m["name"], "".join("%*s" % (width, c) for c in cells),
+                "x%.2f" % product if used else "n/a"))
+
+
 def measure(args, spec):
     sha = git("rev-parse", "--verify", args.rev + "^{commit}")
     head = git("rev-parse", "HEAD")
@@ -236,8 +284,16 @@ def main():
     parser.add_argument("--out", help="write the pairs and summary here")
     parser.add_argument("--verdict", metavar="FILE",
                         help="print the verdict of a file written by --out")
+    parser.add_argument("--trajectory", metavar="FILE", nargs="+",
+                        help="print the chained change/parent median ratios "
+                             "of files written by --out")
     args = parser.parse_args()
     spec = load_spec()
+    if args.trajectory:
+        if args.rev or args.verdict:
+            die("--trajectory takes no revision and no --verdict")
+        trajectory(args.trajectory, spec)
+        sys.exit(0)
     if args.verdict:
         if args.rev:
             die("--verdict takes no revision")
