@@ -214,8 +214,9 @@ void MachineTimingModel::block_reclaimed(BlockIndex b, std::uint64_t slot,
   // versioned ops and TASK-END), so the clock is valid for the lifetime
   // and lag distributions.
   const Cycles now = m_.now();
-  store_->version_lifetime_hist().observe(now - stamp_of(block_born_, b));
-  store_->reclaim_lag_hist().observe(now - stamp_of(block_shadowed_at_, b));
+  const VersionBlock& vb = store_->pool()[b];
+  store_->version_lifetime_hist().observe(now - vb.born_at);
+  store_->reclaim_lag_hist().observe(now - vb.shadowed_at);
 }
 
 void MachineTimingModel::slot_released(std::uint64_t slot) {

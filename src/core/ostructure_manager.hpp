@@ -7,14 +7,15 @@
 //
 //   * MachineTimingModel — the TimingModel that turns each reported semantic
 //     effect into simulated cache-hierarchy traffic, fiber scheduling and
-//     wait lists, per-core compressed version lines, and block lifetime
-//     stamps. A direct access costs one L1 probe of the slot's compressed
-//     line; a full lookup costs the root-pointer access plus one access per
-//     version block walked, with only the final block installed in L1 (the
-//     paper's pollution avoidance). Because operations serialize at
-//     timestamps, the paper's two-cache-line exclusive-acquisition/retry
-//     protocol for inserts can never actually race here; its cost (two
-//     exclusive line acquisitions) is still charged.
+//     wait lists, per-core compressed version lines, and the lifetime stamps
+//     kept in each block's host bookkeeping. A direct access costs one L1
+//     probe of the slot's compressed line; a full lookup costs the
+//     root-pointer access plus one access per version block walked, with
+//     only the final block installed in L1 (the paper's pollution
+//     avoidance). Because operations serialize at timestamps, the paper's
+//     two-cache-line exclusive-acquisition/retry protocol for inserts can
+//     never actually race here; its cost (two exclusive line acquisitions)
+//     is still charged.
 //
 //   * OStructureManager — the backend itself: a VersionStore wired to a
 //     MachineTimingModel, presenting the historical single-object API.
@@ -37,7 +38,9 @@ namespace osim {
 
 /// Charges VersionStore's semantic effects against a simulated Machine.
 /// Owns the purely-timing state the engine deliberately does not know about:
-/// per-core compressed lines, per-slot wait lists, block lifetime stamps.
+/// per-core compressed lines and per-slot wait lists. It also writes the
+/// blocks' lifetime stamps (VersionBlock::born_at, shadowed_at), which only
+/// feed its lifetime and reclaim-lag histograms.
 class MachineTimingModel final : public TimingModel {
  public:
   explicit MachineTimingModel(Machine& m);
@@ -71,13 +74,13 @@ class MachineTimingModel final : public TimingModel {
   void gc_triggered() override { m_.advance(cfg_.gc_trigger_latency); }
   void os_trapped() override { m_.advance(cfg_.os_trap_latency); }
   void block_allocated(BlockIndex b) override {
-    stamp(block_born_, b, m_.now());
+    store_->pool()[b].born_at = m_.now();
   }
 
   void store_charged(std::uint64_t slot, const InsertResult& ir,
                      BlockIndex nb) override;
   void block_shadowed(BlockIndex b) override {
-    stamp(block_shadowed_at_, b, m_.now());
+    store_->pool()[b].shadowed_at = m_.now();
   }
   void store_installed(std::uint64_t slot,
                        const CompressedLine::Entry& snap) override;
@@ -107,18 +110,6 @@ class MachineTimingModel final : public TimingModel {
     return waiters_[slot];
   }
 
-  /// Record a cycle stamp for block `b`, growing the side array on first
-  /// touch (see block_born_ below).
-  static void stamp(std::vector<Cycles>& stamps, BlockIndex b, Cycles t) {
-    const auto i = static_cast<std::size_t>(b);
-    if (stamps.size() <= i) stamps.resize(i + 1);
-    stamps[i] = t;
-  }
-  static Cycles stamp_of(const std::vector<Cycles>& stamps, BlockIndex b) {
-    const auto i = static_cast<std::size_t>(b);
-    return i < stamps.size() ? stamps[i] : 0;
-  }
-
   Machine& m_;
   OStructConfig cfg_;
   VersionStore* store_ = nullptr;
@@ -129,13 +120,6 @@ class MachineTimingModel final : public TimingModel {
   std::vector<FlatMap<std::uint64_t, CompressedLine>> comp_;
   /// Per-slot wait lists, indexed by slot, grown lazily.
   std::vector<WaitList> waiters_;
-  // Per-block alloc/shadow cycle stamps feeding the lifetime histograms.
-  // Side arrays grown lazily to the highest block index actually used: the
-  // pool holds ~1M mostly-untouched blocks, so stamping inside VersionBlock
-  // would add pool_size * 16 bytes of cold zeroed memory to every machine
-  // construction (a hardware implementation would not store these at all).
-  std::vector<Cycles> block_born_;
-  std::vector<Cycles> block_shadowed_at_;
 };
 
 /// The timed backend: the semantic engine bound to a MachineTimingModel,

@@ -44,6 +44,27 @@ TEST(Env, ConventionalAccessToVersionedSlotFaults) {
   EXPECT_THROW(env.run(), SimError);
 }
 
+// A timed Env builds no version block up front: the pool carves a block only
+// when it first hands it out, so set-up does not scale with
+// initial_pool_blocks.
+TEST(Env, TimedPoolCarvesOnlyWhatItHandsOut) {
+  Env env(cfg(32));
+  const BlockPool& pool = env.osm().pool();
+  const std::size_t batch = env.config().ostruct.initial_pool_blocks;
+  EXPECT_EQ(batch, std::size_t{1} << 20);
+  EXPECT_EQ(pool.carved(), 0u);
+  EXPECT_EQ(pool.free_count(), batch);
+  EXPECT_EQ(pool.size(), batch);
+  constexpr int kStores = 5;
+  env.run_sequential([&] {
+    versioned<int> v(env);
+    for (int i = 1; i <= kStores; ++i) v.store_ver(i, static_cast<Ver>(i));
+  });
+  EXPECT_EQ(pool.carved(), std::size_t{kStores});
+  EXPECT_EQ(pool.free_count(), batch - kStores);
+  EXPECT_EQ(pool.size(), batch);
+}
+
 TEST(Versioned, IntRoundTrip) {
   Env env(cfg(1));
   env.run_sequential([&] {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "core/fault.hpp"
@@ -188,6 +190,144 @@ TEST_F(VersionListTest, UnsortedFindScansWholeList) {
   auto e = find_exact(pool, root, 3, false);
   ASSERT_TRUE(e.found());
   EXPECT_EQ(pool[e.block].data, 3u);
+}
+
+// The block pool as it was before it carved on demand: the constructor
+// builds its whole batch and threads it onto the free list. Kept as the
+// reference for the lazy pool's allocation order, which block indices (the
+// simulated physical pointers) depend on.
+class EagerPool {
+ public:
+  explicit EagerPool(std::size_t n) { grow(n); }
+
+  BlockIndex alloc() {
+    if (free_head_ == kNullBlock) return kNullBlock;
+    const BlockIndex b = free_head_;
+    VersionBlock& vb = blocks_[b];
+    free_head_ = vb.next;
+    --free_count_;
+    vb.next = kNullBlock;
+    vb.head = false;
+    vb.locked_by = kNoTask;
+    vb.state = BlockState::kLive;
+    return b;
+  }
+
+  void free(BlockIndex b) {
+    VersionBlock& vb = blocks_[b];
+    vb.state = BlockState::kFree;
+    vb.generation++;
+    vb.next = free_head_;
+    free_head_ = b;
+    ++free_count_;
+  }
+
+  void grow(std::size_t n) {
+    const std::size_t old = blocks_.size();
+    blocks_.resize(old + n);
+    for (std::size_t i = old; i < old + n; ++i) {
+      blocks_[i].next = free_head_;
+      free_head_ = static_cast<BlockIndex>(i);
+    }
+    free_count_ += n;
+  }
+
+  const VersionBlock& operator[](BlockIndex b) const { return blocks_[b]; }
+  std::size_t free_count() const { return free_count_; }
+  std::size_t size() const { return blocks_.size(); }
+
+ private:
+  std::vector<VersionBlock> blocks_;
+  BlockIndex free_head_ = kNullBlock;
+  std::size_t free_count_ = 0;
+};
+
+// Seeded random alloc/free/grow sequences: after every step the lazy pool
+// has handed out the same index, holds the same counts and carries the same
+// generation on every allocated block as the eager reference. An alloc that
+// finds both pools dry traps and grows, as the store does.
+class LazyPoolOrder
+    : public ::testing::TestWithParam<std::tuple<std::size_t, unsigned>> {};
+
+TEST_P(LazyPoolOrder, MatchesEagerPool) {
+  const auto [initial, seed] = GetParam();
+  std::mt19937 rng(seed);
+  BlockPool lazy(initial);
+  EagerPool eager(initial);
+  std::vector<BlockIndex> held;
+  int grows_over_freed_and_uncarved = 0;
+
+  for (int step = 0; step < 3000; ++step) {
+    const unsigned op = rng() % 16;
+    if (op < 9) {
+      const BlockIndex b = lazy.alloc();
+      ASSERT_EQ(b, eager.alloc()) << "step " << step;
+      if (b != kNullBlock) {
+        held.push_back(b);
+      } else {
+        lazy.grow(4);
+        eager.grow(4);
+      }
+    } else if (op < 15) {
+      if (held.empty()) continue;
+      const std::size_t i = rng() % held.size();
+      lazy.free(held[i]);
+      eager.free(held[i]);
+      held[i] = held.back();
+      held.pop_back();
+    } else {
+      const std::size_t uncarved = lazy.size() - lazy.carved();
+      if (uncarved > 0 && lazy.free_count() > uncarved) {
+        ++grows_over_freed_and_uncarved;
+      }
+      const std::size_t n = rng() % 6;
+      lazy.grow(n);
+      eager.grow(n);
+    }
+    ASSERT_EQ(lazy.free_count(), eager.free_count()) << "step " << step;
+    ASSERT_EQ(lazy.size(), eager.size()) << "step " << step;
+    for (BlockIndex b : held) {
+      ASSERT_EQ(lazy[b].generation, eager[b].generation)
+          << "step " << step << " block " << b;
+    }
+  }
+  // Runs with a large batch must have grown while both freed and uncarved
+  // blocks remained, the case the order argument has to cover.
+  if (initial >= 64) {
+    EXPECT_GT(grows_over_freed_and_uncarved, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoolsAndSeeds, LazyPoolOrder,
+    ::testing::Combine(::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{2}, std::size_t{64},
+                                         std::size_t{1000}),
+                       ::testing::Values(1u, 2u, 3u)));
+
+TEST(LazyPool, CarvesOnlyWhatItHandsOut) {
+  BlockPool pool(1000);
+  EXPECT_EQ(pool.carved(), 0u);
+  EXPECT_EQ(pool.free_count(), 1000u);
+  EXPECT_EQ(pool.size(), 1000u);
+  EXPECT_EQ(pool.alloc(), 999u);  // from the top of the batch down
+  EXPECT_EQ(pool.alloc(), 998u);
+  EXPECT_EQ(pool.carved(), 2u);
+  pool[999].born_at = 7;
+  pool[999].shadowed_at = 9;
+  pool.free(999);
+  EXPECT_EQ(pool.alloc(), 999u);  // the free list pops before carving
+  EXPECT_EQ(pool.carved(), 2u);
+  // A reused block keeps its lifetime stamps; a fresh one reads 0.
+  EXPECT_EQ(pool[999].born_at, 7u);
+  EXPECT_EQ(pool[999].shadowed_at, 9u);
+  EXPECT_EQ(pool[998].born_at, 0u);
+  EXPECT_EQ(pool[998].shadowed_at, 0u);
+  pool.grow(3);  // a trap builds its blocks eagerly, highest index first
+  EXPECT_EQ(pool.carved(), 5u);
+  EXPECT_EQ(pool.alloc(), 1002u);
+  EXPECT_EQ(pool.free_count(), 1000u);
+  EXPECT_EQ(pool.size(), 1003u);
 }
 
 // Property test: random insert orders always yield a sorted list, and
