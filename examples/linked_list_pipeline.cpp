@@ -36,8 +36,7 @@ node_t* make_node(Env& env, long v) {
 
 /// Insert `n` in sorted position. `prev_ver` is the root version published
 /// by the previous insertion (every task mutates here, so prev = tid - 1).
-void insert_sorted(Env& env, TicketRoot<node_t*>& root, TaskId tid,
-                   node_t* n) {
+void insert_sorted(TicketRoot<node_t*>& root, TaskId tid, node_t* n) {
   node_t* cur = root.enter_mut(tid, tid - 1);
   if (cur == nullptr || cur->value >= n->value) {
     n->next.store_ver(cur, tid);
@@ -73,7 +72,7 @@ int main() {
   for (TaskId tid = 2; tid < 2 + kInsertions; ++tid) {
     const long value = static_cast<long>((tid * 37) % kInsertions);
     rt.create_task(tid, [&env, &root, value](TaskId t) {
-      insert_sorted(env, root, t, make_node(env, value));
+      insert_sorted(root, t, make_node(env, value));
     });
   }
 

@@ -3,8 +3,8 @@
 // cycles plus the full statistics block — the quickest way to poke at the
 // system without writing code.
 //
-//   workload_explorer --workload=tree --mode=par --cores=16 --size=10000 \
-//                     --ops=2000 --rpw=4 --stats
+//   workload_explorer --workload=tree --mode=par --cores=16 --size=10000
+//                     --ops=2000 --rpw=4 --stats        (one command line)
 //   workload_explorer --workload=list --mode=seq --size=1000 --ops=500
 //   workload_explorer --workload=matmul --mode=par --cores=32 --dim=100
 //   workload_explorer --workload=tree --mode=rwlock --cores=8 --scan=8

@@ -24,6 +24,15 @@ struct TlsBinding {
 thread_local std::vector<TlsBinding> t_bindings;
 std::atomic<std::uint64_t> g_store_serial{1};
 
+/// Optimistic spins on a blocked op before it parks on the shard CV.
+constexpr int kSpinIters = 128;
+/// One timed park slice; bounds the staleness of a missed wakeup (the wake
+/// fast path reads the waiter count relaxed, see wake()).
+constexpr std::chrono::microseconds kParkSlice{200};
+/// Optimistic walk bound; exceeding it forces a seqlock retry (belt and
+/// braces against a transiently inconsistent chain).
+constexpr std::size_t kWalkLimit = std::size_t{1} << 20;
+
 }  // namespace
 
 ConcurrentVersionStore::ConcurrentVersionStore(const ConcurrencyConfig& cfg)
@@ -58,9 +67,9 @@ ConcurrentVersionStore::~ConcurrentVersionStore() {
 // ---------------------------------------------------------------------------
 // Thread registration and epochs
 
-int ConcurrentVersionStore::ctx_id() {
+ConcurrentVersionStore::ThreadCtx& ConcurrentVersionStore::ctx() {
   for (const TlsBinding& b : t_bindings) {
-    if (b.serial == serial_) return b.id;
+    if (b.serial == serial_) return ctxs_[static_cast<std::size_t>(b.id)];
   }
 #if defined(OSIM_MC_SEEDED_BUG) && OSIM_MC_SEEDED_BUG == 2
   // Seeded PR-6 review bug (model-checking regression fixture, see
@@ -70,32 +79,24 @@ int ConcurrentVersionStore::ctx_id() {
   // end of ctxs_. osim-mc flags it as a registered_threads() bound
   // violation on every schedule of the ctx_bound litmus.
   const int id = nctx_.fetch_add(1, std::memory_order_acq_rel);
+#else
+  // Bounded CAS: nctx_ must never exceed max_threads even transiently —
+  // min_active_epoch() and stats() iterate ctxs_[0..nctx_), so an
+  // over-incremented count would send them past the end of the array.
+  int id = nctx_.load(std::memory_order_relaxed);
+  while (id < cfg_.max_threads &&
+         !nctx_.compare_exchange_weak(id, id + 1, std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+  }
+#endif
   if (id >= cfg_.max_threads) {
     throw std::runtime_error(
         "ConcurrentVersionStore: thread registrations exceed "
         "ConcurrencyConfig::max_threads (" +
         std::to_string(cfg_.max_threads) + ")");
   }
-#else
-  // Bounded CAS: nctx_ must never exceed max_threads even transiently —
-  // min_active_epoch() and stats() iterate ctxs_[0..nctx_), so an
-  // over-incremented count would send them past the end of the array.
-  int id = nctx_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (id >= cfg_.max_threads) {
-      throw std::runtime_error(
-          "ConcurrentVersionStore: thread registrations exceed "
-          "ConcurrencyConfig::max_threads (" +
-          std::to_string(cfg_.max_threads) + ")");
-    }
-    if (nctx_.compare_exchange_weak(id, id + 1, std::memory_order_acq_rel,
-                                    std::memory_order_relaxed)) {
-      break;
-    }
-  }
-#endif
   t_bindings.push_back({serial_, id});
-  return id;
+  return ctxs_[static_cast<std::size_t>(id)];
 }
 
 // ---------------------------------------------------------------------------
@@ -118,10 +119,6 @@ ConcurrentVersionStore::ShardLock::~ShardLock() {
   if (s_.hook_ != nullptr) {
     s_.hook_->mutex_release({SchedKind::kShardRelease, s_.shard_index(sh_)});
   }
-}
-
-ConcurrentVersionStore::ThreadCtx& ConcurrentVersionStore::ctx() {
-  return ctxs_[static_cast<std::size_t>(ctx_id())];
 }
 
 /// RAII epoch pin for an optimistic walk. The store-then-confirm loop makes
@@ -153,6 +150,61 @@ std::uint64_t ConcurrentVersionStore::min_active_epoch() const {
 }
 
 // ---------------------------------------------------------------------------
+// Seqlock write side
+
+/// The one seqlock write window, following snippet 1's discipline. The
+/// snippet's point about barrier placement: the release fence must sit
+/// *between* the odd sequence store and the data writes ("the barrier
+/// should be added right after the actual write"), so that any reader that
+/// observes a data write also observes the odd sequence when it re-checks —
+/// without the fence a link-in could become visible before the odd sequence
+/// and a reader would validate a torn walk. The closing store is itself a
+/// release so the whole window is ordered before any subsequent even
+/// sequence a reader can see.
+class ConcurrentVersionStore::WriteWindow {
+ public:
+  explicit WriteWindow(CSlot& sl)
+      : sl_(sl), sq_(sl.seq.load(std::memory_order_relaxed)) {
+    sl_.seq.store(sq_ + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+  }
+  ~WriteWindow() { sl_.seq.store(sq_ + 2, std::memory_order_release); }
+
+  WriteWindow(const WriteWindow&) = delete;
+  WriteWindow& operator=(const WriteWindow&) = delete;
+
+  /// The one chain splice: point the link after `pred` (the slot head when
+  /// pred is kNil) at `to`, and move the version count by `delta` — +1
+  /// links a new block in (store), -1 links one out (reclaim, abort).
+  void splice(Shard& sh, std::uint32_t pred, std::uint32_t to, int delta) {
+    if (pred == kNil) {
+      sl_.head.store(to, std::memory_order_relaxed);
+    } else {
+      block(sh, pred).next.store(to, std::memory_order_relaxed);
+    }
+    sl_.nversions.fetch_add(static_cast<std::uint32_t>(delta),  // modular
+                            std::memory_order_relaxed);
+  }
+
+ private:
+  CSlot& sl_;
+  const std::uint32_t sq_;
+};
+
+// The sequence change is what parked waiters wake on.
+void ConcurrentVersionStore::release_lock(ThreadCtx& c, CSlot& sl, CBlock& cb,
+                                          OAddr a, TaskId owner) {
+  {
+    WriteWindow w(sl);
+    cb.locked_by.store(kNoTask, std::memory_order_relaxed);
+  }
+  if (tracing()) {
+    emit(c, telemetry::EventType::kLockRelease, OpCode{}, a,
+         cb.version.load(std::memory_order_relaxed), owner);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Slot table
 
 ConcurrentVersionStore::CSlot* ConcurrentVersionStore::slot_ptr(
@@ -165,13 +217,8 @@ ConcurrentVersionStore::CSlot* ConcurrentVersionStore::slot_ptr(
 }
 
 std::uint64_t ConcurrentVersionStore::slot_of(OAddr a) const {
-  if (a < kOStructBase || (a - kOStructBase) % 8 != 0) fault_unversioned(a);
-  const std::uint64_t slot = (a - kOStructBase) / 8;
-  const CSlot* sp = slot_ptr(slot);
-  if (sp == nullptr || sp->allocated.load(std::memory_order_acquire) == 0) {
-    fault_unversioned(a);
-  }
-  return slot;
+  if (!is_versioned_addr(a)) fault_unversioned(a);
+  return (a - kOStructBase) / 8;
 }
 
 void ConcurrentVersionStore::fault_unversioned(OAddr a) const {
@@ -183,6 +230,15 @@ void ConcurrentVersionStore::fault_unversioned(OAddr a) const {
   throw OFault(FaultKind::kVersionedAccessToUnversionedPage,
                "slot " + std::to_string((a - kOStructBase) / 8) +
                    " is not allocated");
+}
+
+ConcurrentVersionStore::OpSite ConcurrentVersionStore::begin_op(
+    std::uint64_t Stats::*kind, OpCode op, OAddr a, Ver v) {
+  ThreadCtx& c = ctx();
+  ++(c.local.*kind);
+  const OpSite o{locate(a), c, op, a};
+  if (tracing()) emit(c, telemetry::EventType::kIsaOp, op, a, v, 0);
+  return o;
 }
 
 bool ConcurrentVersionStore::is_versioned_addr(Addr a) const {
@@ -252,22 +308,23 @@ void ConcurrentVersionStore::release(OAddr base, std::size_t slots) {
     {
       ShardLock g(*this, sh);
       const std::uint64_t epoch = global_epoch_.load(std::memory_order_relaxed);
-      // Seqlock write: empty the chain and clear the versioned bit in one
-      // atomic-looking step (readers racing with release retry, then fault
-      // on the cleared bit).
-      const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-      sl.seq.store(sq + 1, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_release);
-      std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-      sl.head.store(kNil, std::memory_order_relaxed);
-      sl.nversions.store(0, std::memory_order_relaxed);
-      sl.allocated.store(0, std::memory_order_relaxed);
-      sl.seq.store(sq + 2, std::memory_order_release);
+      std::uint32_t b;
+      {
+        // Empty the chain and clear the versioned bit in one atomic-looking
+        // step (readers racing with release retry, then fault on the
+        // cleared bit).
+        WriteWindow w(sl);
+        b = sl.head.load(std::memory_order_relaxed);
+        sl.head.store(kNil, std::memory_order_relaxed);
+        sl.nversions.store(0, std::memory_order_relaxed);
+        sl.allocated.store(0, std::memory_order_relaxed);
+      }
       while (b != kNil) {
         CBlock& cb = block(sh, b);
         if (tracing()) {
-          emit(telemetry::EventType::kBlockFreed, OpCode{}, ostruct_addr(s),
-               cb.version.load(std::memory_order_relaxed), trace_id(sh, b));
+          emit(ctx(), telemetry::EventType::kBlockFreed, OpCode{},
+               ostruct_addr(s), cb.version.load(std::memory_order_relaxed),
+               trace_id(sh, b));
         }
         const std::uint32_t nx = cb.next.load(std::memory_order_relaxed);
         sh.limbo.push_back({b, epoch});
@@ -297,7 +354,7 @@ ConcurrentVersionStore::Seek ConcurrentVersionStore::seek(Shard& sh,
                                                           Ver key) {
   // Chains are strictly descending (check_integrity and osim-mc audit it),
   // so the first version <= key ends the walk. try_read keeps its own walk:
-  // it runs without the lock and needs acquire loads and walk_limit.
+  // it runs without the lock and needs acquire loads and kWalkLimit.
   Seek at;
   for (at.cur = sl.head.load(std::memory_order_relaxed); at.cur != kNil;) {
     const CBlock& cb = block(sh, at.cur);
@@ -323,14 +380,14 @@ std::uint32_t ConcurrentVersionStore::trace_id(Shard& sh, std::uint32_t b) {
   return sh.trace_ids[b];
 }
 
-std::uint32_t ConcurrentVersionStore::alloc_block(Shard& sh) {
+std::uint32_t ConcurrentVersionStore::alloc_block(ThreadCtx& c, Shard& sh) {
   if (inj_.fire(FaultSite::kBlockPool)) {
     throw OFault(FaultKind::kResourceExhausted,
                  "shard " + std::to_string(shard_index(sh)) +
                      " block pool exhausted (injected) during store by task " +
-                     std::to_string(ctx().cur_task));
+                     std::to_string(c.cur_task));
   }
-  if (sh.shadowed.size() >= cfg_.reclaim_threshold) maybe_reclaim(sh);
+  if (sh.shadowed.size() >= cfg_.reclaim_threshold) maybe_reclaim(c, sh);
   if (sh.free_list.empty() && !sh.limbo.empty()) {
     // Harvest limbo blocks whose grace period has passed: no active reader
     // pinned an epoch at or before the retirement epoch, so no optimistic
@@ -346,7 +403,6 @@ std::uint32_t ConcurrentVersionStore::alloc_block(Shard& sh) {
   if (!sh.free_list.empty()) {
     const std::uint32_t b = sh.free_list.back();
     sh.free_list.pop_back();
-    ++sh.allocated;
     return b;
   }
   const std::uint32_t nc = sh.nchunks.load(std::memory_order_relaxed);
@@ -357,13 +413,12 @@ std::uint32_t ConcurrentVersionStore::alloc_block(Shard& sh) {
                        " block pool exhausted: " +
                        std::to_string(kMaxBlockChunks * kBlockChunkSize) +
                        " blocks live, none reclaimable (task " +
-                       std::to_string(ctx().cur_task) + ")");
+                       std::to_string(c.cur_task) + ")");
     }
     sh.chunk[nc].store(new CBlock[kBlockChunkSize],
                        std::memory_order_release);
     sh.nchunks.store(nc + 1, std::memory_order_release);
   }
-  ++sh.allocated;
   return sh.next_fresh++;
 }
 
@@ -371,7 +426,7 @@ std::uint32_t ConcurrentVersionStore::alloc_block(Shard& sh) {
 // *conditional* task_mu_ acquisition below (std::unique_lock over an
 // option), which the analysis cannot track; the writer_mu requirement is
 // still enforced at every call site via the declaration.
-void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
+void ConcurrentVersionStore::maybe_reclaim(ThreadCtx& c, Shard& sh)
     OSIM_NO_THREAD_SAFETY_ANALYSIS {
   // Injected GC delay: skip this pass entirely. Callers treat a delayed
   // sweep exactly like an empty one, so pressure just builds until a later
@@ -419,10 +474,12 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
   // outlive the block's trip through limbo and the free list and then
   // retire a *live* reallocated incarnation of the same block index.
   std::vector<std::uint32_t> gone;
-  std::size_t retired = 0;
+  auto is_gone = [&gone](const Shadowed& x) {
+    return std::find(gone.begin(), gone.end(), x.block) != gone.end();
+  };
   Ver max_shadower = 0;
   for (const Shadowed& sd : sh.shadowed) {
-    if (std::find(gone.begin(), gone.end(), sd.block) != gone.end()) {
+    if (is_gone(sd)) {
       continue;  // duplicate entry; the block was retired earlier this pass
     }
     CBlock& cb = block(sh, sd.block);
@@ -451,43 +508,30 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
       keep.push_back(sd);
       continue;
     }
-    const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-    sl.seq.store(sq + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    const std::uint32_t nx = cb.next.load(std::memory_order_relaxed);
-    if (at.pred == kNil) {
-      sl.head.store(nx, std::memory_order_relaxed);
-    } else {
-      block(sh, at.pred).next.store(nx, std::memory_order_relaxed);
+    {
+      WriteWindow w(sl);
+      w.splice(sh, at.pred, cb.next.load(std::memory_order_relaxed), -1);
     }
-    sl.nversions.fetch_sub(1, std::memory_order_relaxed);
-    sl.seq.store(sq + 2, std::memory_order_release);
     if (tracing()) {
-      emit(telemetry::EventType::kBlockFreed, OpCode{}, ostruct_addr(sd.slot),
-           cb.version.load(std::memory_order_relaxed),
+      emit(c, telemetry::EventType::kBlockFreed, OpCode{},
+           ostruct_addr(sd.slot), cb.version.load(std::memory_order_relaxed),
            trace_id(sh, sd.block));
     }
     sh.limbo.push_back({sd.block, epoch});
     gone.push_back(sd.block);
     max_shadower = std::max(max_shadower, sd.shadower);
-    ++retired;
   }
+  sh.shadowed.swap(keep);
+  sh.reclaimed.fetch_add(gone.size(), std::memory_order_relaxed);
   if (!gone.empty()) {
     // Purge duplicates that were kept before their block's retiring entry
     // was reached (the `gone` check above only catches later ones).
-    keep.erase(std::remove_if(keep.begin(), keep.end(),
-                              [&gone](const Shadowed& x) {
-                                return std::find(gone.begin(), gone.end(),
-                                                 x.block) != gone.end();
-                              }),
-               keep.end());
-  }
-  sh.shadowed.swap(keep);
-  sh.reclaimed.fetch_add(retired, std::memory_order_relaxed);
-  if (retired != 0) {
-    // Serial GC floor rule (core/gc.cpp finalize): readers of a version
-    // shadowed by f have ids < f, so after reclaiming under fence f no
-    // task with id <= f-1 may ever be created.
+    sh.shadowed.erase(
+        std::remove_if(sh.shadowed.begin(), sh.shadowed.end(), is_gone),
+        sh.shadowed.end());
+    // Serial GC floor rule (core/gc_policy.cpp finalize): readers of a
+    // version shadowed by f have ids < f, so after reclaiming under fence f
+    // no task with id <= f-1 may ever be created.
     const TaskId want = max_shadower == 0 ? 0 : max_shadower - 1;
     TaskId cur = gc_floor_.load(std::memory_order_relaxed);
     while (cur < want && !gc_floor_.compare_exchange_weak(
@@ -504,19 +548,21 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
 // ---------------------------------------------------------------------------
 // Blocking
 
-void ConcurrentVersionStore::wait_change(Shard& sh, CSlot& sl,
-                                         std::uint32_t seq_seen, OpCode op,
-                                         OAddr a, Ver v) {
-  ThreadCtx& c = ctx();
+void ConcurrentVersionStore::wait_change(const OpSite& o,
+                                         std::uint32_t seq_seen, Ver v) {
+  // Every kWouldBlock fault below names the blocked op the same way.
+  auto would_block = [&](const char* why, bool addr, const std::string& tail) {
+    return OFault(FaultKind::kWouldBlock,
+                  why + std::string(to_string(o.op)) + " of version " +
+                      std::to_string(v) +
+                      (addr ? " at address " + std::to_string(o.a) : "") +
+                      " by task " + std::to_string(o.c.cur_task) + tail);
+  };
   // Injected deadlock: fault as if the timeout below had already expired.
   // Same FaultKind and diagnostic shape, so the runtime's abort-and-retry
   // path is exercised without waiting out a real timeout.
   if (inj_.fire(FaultSite::kDeadlock)) {
-    throw OFault(FaultKind::kWouldBlock,
-                 "injected deadlock timeout: " + std::string(to_string(op)) +
-                     " of version " + std::to_string(v) + " at address " +
-                     std::to_string(a) + " by task " +
-                     std::to_string(c.cur_task));
+    throw would_block("injected deadlock timeout: ", true, "");
   }
   if (hook_ != nullptr) {
     // Model-checked blocking: no spinning, no timed park, no wall clock.
@@ -524,47 +570,40 @@ void ConcurrentVersionStore::wait_change(Shard& sh, CSlot& sl,
     // return; re-examine the slot) or until the scheduler proves no
     // runnable thread can ever signal it (false return) — the
     // deterministic analogue of the deadlock timeout below.
-    const std::uint64_t shard = shard_index(sh);
-    while (sl.seq.load(std::memory_order_acquire) == seq_seen) {
+    const std::uint64_t shard = shard_index(o.sh);
+    while (o.sl.seq.load(std::memory_order_acquire) == seq_seen) {
       if (stop_.load(std::memory_order_acquire)) {
-        throw OFault(FaultKind::kWouldBlock,
-                     "run aborted while " + std::string(to_string(op)) +
-                         " of version " + std::to_string(v) + " by task " +
-                         std::to_string(c.cur_task) + " was parked");
+        throw would_block("run aborted while ", false, " was parked");
       }
-      ++c.local.parks;
+      ++o.c.local.parks;
       if (!hook_->block({SchedKind::kBlocked, shard})) {
-        throw OFault(FaultKind::kWouldBlock,
-                     "deadlock: " + std::string(to_string(op)) +
-                         " of version " + std::to_string(v) + " at address " +
-                         std::to_string(a) + " by task " +
-                         std::to_string(c.cur_task) +
-                         " cannot be satisfied in this schedule");
+        throw would_block("deadlock: ", true,
+                          " cannot be satisfied in this schedule");
       }
     }
-    ++c.local.spin_waits;
+    ++o.c.local.spin_waits;
     return;
   }
-  for (int i = 0; i < cfg_.spin_iters; ++i) {
-    if (sl.seq.load(std::memory_order_acquire) != seq_seen) {
-      ++c.local.spin_waits;
+  for (int i = 0; i < kSpinIters; ++i) {
+    if (o.sl.seq.load(std::memory_order_acquire) != seq_seen) {
+      ++o.c.local.spin_waits;
       return;
     }
     // On an oversubscribed host a blocked op's best move is handing the
     // core to whoever will publish the version it needs.
     std::this_thread::yield();
   }
-  ++c.local.parks;
+  ++o.c.local.parks;
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(cfg_.deadlock_timeout_ms);
   bool timed_out = false;
   bool stopped = false;
-  sh.nwaiters.fetch_add(1, std::memory_order_seq_cst);
+  o.sh.nwaiters.fetch_add(1, std::memory_order_seq_cst);
   {
-    std::unique_lock<std::mutex> lk(sh.park_mu);
+    std::unique_lock<std::mutex> lk(o.sh.park_mu);
     for (;;) {
-      if (sl.seq.load(std::memory_order_acquire) != seq_seen) break;
+      if (o.sl.seq.load(std::memory_order_acquire) != seq_seen) break;
       if (stop_.load(std::memory_order_acquire)) {
         stopped = true;
         break;
@@ -575,23 +614,15 @@ void ConcurrentVersionStore::wait_change(Shard& sh, CSlot& sl,
       }
       // Timed slices bound the cost of wake()'s relaxed waiter-count fast
       // path: a theoretically missed notify only delays us one slice.
-      sh.park_cv.wait_for(lk, std::chrono::microseconds(cfg_.park_slice_us));
+      o.sh.park_cv.wait_for(lk, kParkSlice);
     }
   }
-  sh.nwaiters.fetch_sub(1, std::memory_order_seq_cst);
-  if (stopped) {
-    throw OFault(FaultKind::kWouldBlock,
-                 "run aborted while " + std::string(to_string(op)) +
-                     " of version " + std::to_string(v) + " by task " +
-                     std::to_string(c.cur_task) + " was parked");
-  }
+  o.sh.nwaiters.fetch_sub(1, std::memory_order_seq_cst);
+  if (stopped) throw would_block("run aborted while ", false, " was parked");
   if (timed_out) {
-    throw OFault(FaultKind::kWouldBlock,
-                 "deadlock: " + std::string(to_string(op)) + " of version " +
-                     std::to_string(v) + " at address " + std::to_string(a) +
-                     " by task " + std::to_string(c.cur_task) +
-                     " still blocked after " +
-                     std::to_string(cfg_.deadlock_timeout_ms) + "ms");
+    throw would_block("deadlock: ", true,
+                      " still blocked after " +
+                          std::to_string(cfg_.deadlock_timeout_ms) + "ms");
   }
 }
 
@@ -625,72 +656,73 @@ void ConcurrentVersionStore::attach_tracer(telemetry::Tracer* tracer) {
   tracer_ = tracer;
 }
 
-void ConcurrentVersionStore::emit(telemetry::EventType type, OpCode op,
+void ConcurrentVersionStore::emit(const ThreadCtx& c,
+                                  telemetry::EventType type, OpCode op,
                                   OAddr addr, Ver version,
                                   std::uint64_t arg) {
   std::lock_guard<std::mutex> g(trace_mu_);
   // Linearization stamp: a mutex-serialized counter as the time and the
   // registered thread id as the core (core/engine_trace.hpp).
   tracer_->emit(make_trace_event(++trace_clock_,
-                                 static_cast<CoreId>(ctx_id()), type, op,
-                                 addr, version, arg));
+                                 static_cast<CoreId>(&c - ctxs_.get()), type,
+                                 op, addr, version, arg));
 }
 
 // ---------------------------------------------------------------------------
 // Reads
 
 ConcurrentVersionStore::ReadOutcome ConcurrentVersionStore::try_read(
-    Shard& sh, CSlot& sl, bool exact, Ver key) {
-  ThreadCtx& c = ctx();
-  // Decision point: under a hook, where this optimistic read falls in the
-  // interleaving is chosen here, before the epoch pin (a descheduled
-  // thread must not hold a pin — it would block reclamation in every
-  // branch of the exploration).
-  sched_point(SchedKind::kSeqReadBegin, shard_index(sh));
-  EpochPin pin(*this, c);
+    const OpSite& o, bool exact, Ver key) {
+  // A traced read walks under the writer lock, so no write window overlaps
+  // it and its event lands in the stream inside the lock: the stream then
+  // interleaves store < read for any version the read observed, which is
+  // what the checker's dataflow joins need. The lock acquisition is its
+  // schedule point. An untraced read's decision point is chosen here,
+  // before the epoch pin (a descheduled thread must not hold a pin — it
+  // would block reclamation in every branch of the exploration).
+  std::optional<ShardLock> traced;
+  if (tracing()) {
+    traced.emplace(*this, o.sh);
+  } else {
+    sched_point(SchedKind::kSeqReadBegin, shard_index(o.sh));
+  }
+  EpochPin pin(*this, o.c);
   for (;;) {
     // Seqlock read side (snippet 1's mem_read): take the sequence, walk,
     // fence, re-check. An odd sequence means a writer is mid-flight.
-    const std::uint32_t s1 = sl.seq.load(std::memory_order_acquire);
+    const std::uint32_t s1 = o.sl.seq.load(std::memory_order_acquire);
     if ((s1 & 1u) != 0) {
-      ++c.local.seq_retries;
+      ++o.c.local.seq_retries;
       std::this_thread::yield();
       continue;
     }
-    bool found = false;
-    bool locked = false;
+    ReadOutcome out;
+    out.seq = s1;
     bool overflow = false;
-    Ver got = 0;
-    std::uint64_t data = 0;
     std::size_t walked = 0;
-    for (std::uint32_t b = sl.head.load(std::memory_order_acquire);
+    for (std::uint32_t b = o.sl.head.load(std::memory_order_acquire);
          b != kNil;) {
-      if (++walked > cfg_.walk_limit) {
+      if (++walked > kWalkLimit) {
         overflow = true;  // transiently inconsistent chain; retry
         break;
       }
-      CBlock& cb = block(sh, b);
+      CBlock& cb = block(o.sh, b);
       const Ver v = cb.version.load(std::memory_order_acquire);
-      if (exact) {
-        if (v == key) {
-          found = true;
-        } else if (v < key) {
-          break;  // sorted newest-first: key is absent
+      if (v <= key) {
+        // Sorted newest-first: this is the newest version <= cap, and an
+        // exact key below it is absent.
+        if (!exact || v == key) {
+          out.got = v;
+          out.data = cb.data.load(std::memory_order_relaxed);
+          out.ok = cb.locked_by.load(std::memory_order_relaxed) == kNoTask;
         }
-      } else if (v <= key) {
-        found = true;  // newest version <= cap
-      }
-      if (found) {
-        got = v;
-        data = cb.data.load(std::memory_order_relaxed);
-        locked = cb.locked_by.load(std::memory_order_relaxed) != kNoTask;
         break;
       }
       b = cb.next.load(std::memory_order_acquire);
     }
     // Read-side validation: the acquire fence orders every load above
     // before the sequence re-check, pairing with the writer's release
-    // fence (see store_locked). If the sequence moved, some write window
+    // fence (see WriteWindow). If the sequence moved, some write window
     // overlapped the walk and any combination of values we saw may be
     // torn — retry.
     std::atomic_thread_fence(std::memory_order_acquire);
@@ -704,62 +736,32 @@ ConcurrentVersionStore::ReadOutcome ConcurrentVersionStore::try_read(
           "ConcurrentVersionStore: version-chain walk exceeded walk_limit "
           "under a schedule hook (corrupted chain)");
     }
-    if (!overflow && sl.seq.load(std::memory_order_relaxed) == s1) {
-      ReadOutcome out;
-      out.seq = s1;
-      if (found && !locked) {
-        out.ok = true;
-        out.got = got;
-        out.data = data;
+    if (!overflow && o.sl.seq.load(std::memory_order_relaxed) == s1) {
+      if (out.ok && tracing()) {
+        emit(o.c, telemetry::EventType::kVersionRead, o.op, o.a, out.got,
+             key);
       }
       return out;
     }
-    ++c.local.seq_retries;
-    sched_point(SchedKind::kSeqReadRetry, shard_index(sh));
+    ++o.c.local.seq_retries;
+    sched_point(SchedKind::kSeqReadRetry, shard_index(o.sh));
   }
-}
-
-ConcurrentVersionStore::ReadOutcome ConcurrentVersionStore::read_serialized(
-    Shard& sh, CSlot& sl, bool exact, Ver key, OpCode op, OAddr a) {
-  ShardLock g(*this, sh);
-  ReadOutcome out;
-  out.seq = sl.seq.load(std::memory_order_relaxed);
-  const Seek at = seek(sh, sl, key);
-  if (exact ? !at.exact : at.cur == kNil) return out;
-  CBlock& cb = block(sh, at.cur);
-  if (cb.locked_by.load(std::memory_order_relaxed) == kNoTask) {
-    out.ok = true;
-    out.got = cb.version.load(std::memory_order_relaxed);
-    out.data = cb.data.load(std::memory_order_relaxed);
-    // Semantic point of the read, still inside the writer lock: the event
-    // stream interleaves store < read for any version this read observed,
-    // which is what the checker's dataflow joins need.
-    emit(telemetry::EventType::kVersionRead, op, a, out.got, key);
-  }
-  return out;
 }
 
 std::uint64_t ConcurrentVersionStore::load_common(OAddr a, bool exact,
                                                   Ver key, Ver* found,
                                                   OpCode op) {
-  ThreadCtx& c = ctx();
-  ++c.local.ops;
-  ++c.local.loads;
-  std::uint64_t slot = slot_of(a);
-  CSlot& sl = *slot_ptr(slot);
-  Shard& sh = shard_of(slot);
-  if (tracing()) emit(telemetry::EventType::kIsaOp, op, a, key, 0);
+  const OpSite o = begin_op(&Stats::loads, op, a, key);
   for (;;) {
-    ReadOutcome r = tracing() ? read_serialized(sh, sl, exact, key, op, a)
-                              : try_read(sh, sl, exact, key);
+    const ReadOutcome r = try_read(o, exact, key);
     if (r.ok) {
       if (found != nullptr) *found = r.got;
       return r.data;
     }
-    wait_change(sh, sl, r.seq, op, a, key);
+    wait_change(o, r.seq, key);
     // The wait may have been a release(): re-validate the versioned bit so
     // a parked op faults instead of spinning on a dead slot.
-    slot = slot_of(a);
+    slot_of(a);
   }
 }
 
@@ -775,8 +777,7 @@ std::uint64_t ConcurrentVersionStore::load_latest(OAddr a, Ver cap,
 // ---------------------------------------------------------------------------
 // Writes
 
-void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
-                                          std::uint64_t slot, Ver v,
+void ConcurrentVersionStore::store_locked(const OpSite& o, Ver v,
                                           std::uint64_t data) {
 #if defined(OSIM_MC_SEEDED_BUG) && OSIM_MC_SEEDED_BUG == 1
   // Seeded PR-6 review bug (model-checking regression fixture, see
@@ -786,12 +787,8 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
   // just-retired cur back as the new block — so the insert below corrupts
   // the chain (lost store, or a self-loop when nb == cur). osim-mc finds
   // the interleaving via the gc_fence litmus and check_integrity().
-  const Seek at = seek(sh, sl, v);
-  if (at.exact) {
-    throw OFault(FaultKind::kVersionAlreadyExists,
-                 "version " + std::to_string(v) + " already exists");
-  }
-  const std::uint32_t nb = alloc_block(sh);
+  const Seek at = seek(o.sh, o.sl, v);
+  const std::uint32_t nb = alloc_block(o.c, o.sh);
 #else
   // Allocate before seeking, like the serial store_impl: alloc_block may
   // run a reclaim pass that unlinks shadowed blocks from this very chain
@@ -799,46 +796,29 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
   // hand a just-unlinked block back as nb. The fresh block itself is not
   // reachable from any chain, so the seek below sees a stable
   // post-reclaim list.
-  const std::uint32_t nb = alloc_block(sh);
-  const Seek at = seek(sh, sl, v);
+  const std::uint32_t nb = alloc_block(o.c, o.sh);
+  const Seek at = seek(o.sh, o.sl, v);
+#endif
   if (at.exact) {
     // Duplicate version: hand the never-linked block straight back to the
     // free list before faulting (serial store_impl's recycle). No trace
     // event — kBlockAlloc is only emitted once the block is linked, so the
     // checker never saw this one.
-    sh.free_list.push_back(nb);
-    --sh.allocated;
+    o.sh.free_list.push_back(nb);
     throw OFault(FaultKind::kVersionAlreadyExists,
                  "version " + std::to_string(v) + " already exists");
   }
-#endif
-  CBlock& b = block(sh, nb);
+  CBlock& b = block(o.sh, nb);
   b.version.store(v, std::memory_order_relaxed);
   b.data.store(data, std::memory_order_relaxed);
   b.locked_by.store(kNoTask, std::memory_order_relaxed);
   b.next.store(at.cur, std::memory_order_relaxed);
-
-  // Seqlock write side, following snippet 1's discipline. The snippet's
-  // point about barrier placement: the release fence must sit *between*
-  // the odd sequence store and the data writes ("the barrier should be
-  // added right after the actual write"), so that any reader that
-  // observes a data write also observes the odd sequence when it
-  // re-checks — without the fence the link-in below could become visible
-  // before the odd sequence and a reader would validate a torn walk. The
-  // closing store is itself a release so the whole window is ordered
-  // before any subsequent even sequence a reader can see.
-  const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-  sl.seq.store(sq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  if (at.pred == kNil) {
-    sl.head.store(nb, std::memory_order_relaxed);
-  } else {
-    block(sh, at.pred).next.store(nb, std::memory_order_relaxed);
+  {
+    WriteWindow w(o.sl);
+    w.splice(o.sh, at.pred, nb, +1);
   }
-  sl.nversions.fetch_add(1, std::memory_order_relaxed);
-  sl.seq.store(sq + 2, std::memory_order_release);
 
-  ++ctx().local.blocks_allocated;
+  ++o.c.local.blocks_allocated;
 
   // Shadow registration (paper Sec. III-B): a head insert shadows the old
   // head with the new version; a mid-list insert is itself born shadowed
@@ -852,61 +832,50 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
     }
   } else {
     shadowed = nb;
-    shadower = block(sh, at.pred).version.load(std::memory_order_relaxed);
+    shadower = block(o.sh, at.pred).version.load(std::memory_order_relaxed);
   }
   if (shadowed != kNil) {
-    sh.shadowed.push_back(
-        {shadowed, block(sh, shadowed).version.load(std::memory_order_relaxed),
-         shadower, slot});
+    o.sh.shadowed.push_back(
+        {shadowed,
+         block(o.sh, shadowed).version.load(std::memory_order_relaxed),
+         shadower, o.slot});
   }
 
-  journal(UndoEntry::Kind::kStore, slot, v);
+  journal(o.c, UndoEntry::Kind::kStore, o.slot, v);
 
   if (tracing()) {
-    const OAddr a = ostruct_addr(slot);
-    emit(telemetry::EventType::kBlockAlloc, OpCode{}, 0, 0, trace_id(sh, nb));
-    emit(telemetry::EventType::kVersionStore, OpCode{}, a, v,
-         trace_id(sh, nb));
+    emit(o.c, telemetry::EventType::kBlockAlloc, OpCode{}, 0, 0,
+         trace_id(o.sh, nb));
+    emit(o.c, telemetry::EventType::kVersionStore, OpCode{}, o.a, v,
+         trace_id(o.sh, nb));
     if (shadowed != kNil) {
-      emit(telemetry::EventType::kBlockShadowed, OpCode{}, a, shadower,
-           trace_id(sh, shadowed));
+      emit(o.c, telemetry::EventType::kBlockShadowed, OpCode{}, o.a,
+           shadower, trace_id(o.sh, shadowed));
     }
   }
 }
 
 void ConcurrentVersionStore::store_version(OAddr a, Ver v,
                                            std::uint64_t data) {
-  ThreadCtx& c = ctx();
-  ++c.local.ops;
-  ++c.local.stores;
-  const std::uint64_t slot = slot_of(a);
-  CSlot& sl = *slot_ptr(slot);
-  Shard& sh = shard_of(slot);
-  if (tracing()) emit(telemetry::EventType::kIsaOp, OpCode::kStoreVersion, a, v, 0);
+  const OpSite o = begin_op(&Stats::stores, OpCode::kStoreVersion, a, v);
   {
-    ShardLock g(*this, sh);
-    store_locked(sh, sl, slot, v, data);
+    ShardLock g(*this, o.sh);
+    store_locked(o, v, data);
   }
-  wake(sh);
+  wake(o.sh);
 }
 
 std::uint64_t ConcurrentVersionStore::lock_load_common(OAddr a, bool exact,
                                                        Ver key, TaskId locker,
                                                        Ver* found, OpCode op) {
-  ThreadCtx& c = ctx();
-  ++c.local.ops;
-  ++c.local.lock_ops;
-  std::uint64_t slot = slot_of(a);
-  CSlot& sl = *slot_ptr(slot);
-  Shard& sh = shard_of(slot);
-  if (tracing()) emit(telemetry::EventType::kIsaOp, op, a, key, 0);
+  const OpSite o = begin_op(&Stats::lock_ops, op, a, key);
   for (;;) {
     std::uint32_t seq_seen;
     {
-      ShardLock g(*this, sh);
-      const Seek at = seek(sh, sl, key);
+      ShardLock g(*this, o.sh);
+      const Seek at = seek(o.sh, o.sl, key);
       if (exact ? at.exact : at.cur != kNil) {
-        CBlock& cb = block(sh, at.cur);
+        CBlock& cb = block(o.sh, at.cur);
         if (cb.locked_by.load(std::memory_order_relaxed) == kNoTask) {
           // Taking the lock needs no seqlock window: optimistic readers
           // that read the pre-lock state linearize before the acquisition
@@ -915,20 +884,20 @@ std::uint64_t ConcurrentVersionStore::lock_load_common(OAddr a, bool exact,
           cb.locked_by.store(locker, std::memory_order_relaxed);
           const Ver got = cb.version.load(std::memory_order_relaxed);
           const std::uint64_t data = cb.data.load(std::memory_order_relaxed);
-          journal(UndoEntry::Kind::kLock, slot, got);
+          journal(o.c, UndoEntry::Kind::kLock, o.slot, got);
           if (tracing()) {
-            emit(telemetry::EventType::kVersionRead, op, a, got, key);
-            emit(telemetry::EventType::kLockAcquire, OpCode{}, a, got,
+            emit(o.c, telemetry::EventType::kVersionRead, op, a, got, key);
+            emit(o.c, telemetry::EventType::kLockAcquire, OpCode{}, a, got,
                  locker);
           }
           if (found != nullptr) *found = got;
           return data;
         }
       }
-      seq_seen = sl.seq.load(std::memory_order_relaxed);
+      seq_seen = o.sl.seq.load(std::memory_order_relaxed);
     }
-    wait_change(sh, sl, seq_seen, op, a, key);
-    slot = slot_of(a);  // re-validate after a potential release()
+    wait_change(o, seq_seen, key);
+    slot_of(a);  // re-validate after a potential release()
   }
 }
 
@@ -948,26 +917,19 @@ std::uint64_t ConcurrentVersionStore::lock_load_latest(OAddr a, Ver cap,
 void ConcurrentVersionStore::unlock_version(OAddr a, Ver locked_v,
                                             TaskId owner,
                                             std::optional<Ver> rename_to) {
-  ThreadCtx& c = ctx();
-  ++c.local.ops;
-  ++c.local.lock_ops;
-  const std::uint64_t slot = slot_of(a);
-  CSlot& sl = *slot_ptr(slot);
-  Shard& sh = shard_of(slot);
-  if (tracing()) {
-    emit(telemetry::EventType::kIsaOp, OpCode::kUnlockVersion, a, locked_v, 0);
-  }
+  const OpSite o =
+      begin_op(&Stats::lock_ops, OpCode::kUnlockVersion, a, locked_v);
   {
-    ShardLock g(*this, sh);
+    ShardLock g(*this, o.sh);
     // Two seeks, as in the serial engine: each costs only the versions
     // above its key, and both run before anything mutates.
-    const Seek at = seek(sh, sl, locked_v);
+    const Seek at = seek(o.sh, o.sl, locked_v);
     if (!at.exact) {
       throw OFault(FaultKind::kNotLockOwner,
                    "unlock of nonexistent version " +
                        std::to_string(locked_v));
     }
-    CBlock& cb = block(sh, at.cur);
+    CBlock& cb = block(o.sh, at.cur);
     const TaskId holder = cb.locked_by.load(std::memory_order_relaxed);
     if (holder != owner) {
       throw OFault(FaultKind::kNotLockOwner,
@@ -975,28 +937,19 @@ void ConcurrentVersionStore::unlock_version(OAddr a, Ver locked_v,
                        std::to_string(holder) + ", unlock by " +
                        std::to_string(owner));
     }
-    if (rename_to.has_value() && seek(sh, sl, *rename_to).exact) {
+    if (rename_to.has_value() && seek(o.sh, o.sl, *rename_to).exact) {
       throw OFault(FaultKind::kRenameTargetExists,
                    std::to_string(*rename_to));
     }
     const std::uint64_t data = cb.data.load(std::memory_order_relaxed);
-    // The unlock is a slot mutation parked readers wait for, so it runs
-    // inside a seqlock window (the sequence change is their wake signal;
-    // the fence discipline matches store_locked).
-    const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-    sl.seq.store(sq + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    cb.locked_by.store(kNoTask, std::memory_order_relaxed);
-    sl.seq.store(sq + 2, std::memory_order_release);
-    if (tracing()) {
-      emit(telemetry::EventType::kLockRelease, OpCode{}, a, locked_v, owner);
-    }
+    // The unlock is a slot mutation parked readers wait for.
+    release_lock(o.c, o.sl, cb, a, owner);
     if (rename_to.has_value()) {
       // Renaming: materialize the same value as a new, unlocked version.
-      store_locked(sh, sl, slot, *rename_to, data);
+      store_locked(o, *rename_to, data);
     }
   }
-  wake(sh);
+  wake(o.sh);
 }
 
 // ---------------------------------------------------------------------------
@@ -1009,66 +962,57 @@ void ConcurrentVersionStore::task_created(TaskId t) {
     create_task_locked(t);
   }
   if (tracing()) {
-    emit(telemetry::EventType::kTaskCreated, OpCode{}, 0, t, 0);
+    emit(ctx(), telemetry::EventType::kTaskCreated, OpCode{}, 0, t, 0);
   }
 }
 
 void ConcurrentVersionStore::create_task_locked(TaskId t) {
-  // Rules #1 and #3, with the serial engine's exact diagnostics
-  // (core/gc.cpp): creation order must respect age, and a task below the
+  // Rules #1 and #3: creation order must respect age, and a task below the
   // floor could name an already-reclaimed version.
-  if (!unfinished_.empty() && t < unfinished_.begin()->first) {
-    throw OFault(FaultKind::kTaskOrderViolation,
-                 "task " + std::to_string(t) +
-                     " is older than the oldest unfinished task " +
-                     std::to_string(unfinished_.begin()->first));
-  }
-  const TaskId floor = gc_floor_.load(std::memory_order_acquire);
-  if (t <= floor) {
-    throw OFault(FaultKind::kTaskOrderViolation,
-                 "task " + std::to_string(t) +
-                     " is not above the GC floor " + std::to_string(floor));
-  }
+  check_task_created(
+      t, unfinished_.empty() ? kNoTask : unfinished_.begin()->first,
+      gc_floor_.load(std::memory_order_acquire));
   unfinished_[t]++;
   max_task_ = std::max(max_task_, t);
 }
 
 void ConcurrentVersionStore::task_begin(TaskId t) {
   sched_point(SchedKind::kTaskOp, 0);
+  ThreadCtx& c = ctx();
   if (tracing()) {
-    emit(telemetry::EventType::kIsaOp, OpCode::kTaskBegin, 0, t, 0);
+    emit(c, telemetry::EventType::kIsaOp, OpCode::kTaskBegin, 0, t, 0);
   }
   {
     MutexLock g(task_mu_);
     if (unfinished_.find(t) == unfinished_.end()) create_task_locked(t);
   }
-  ThreadCtx& c = ctx();
   c.cur_task = t;
   c.undo.clear();  // a retry must not re-undo the aborted attempt's journal
 }
 
 void ConcurrentVersionStore::task_end(TaskId t) {
   sched_point(SchedKind::kTaskOp, 0);
+  ThreadCtx& c = ctx();
   if (tracing()) {
-    emit(telemetry::EventType::kIsaOp, OpCode::kTaskEnd, 0, t, 0);
+    emit(c, telemetry::EventType::kIsaOp, OpCode::kTaskEnd, 0, t, 0);
   }
-  ThreadCtx& endc = ctx();
-  endc.cur_task = kNoTask;
-  endc.undo.clear();
-  MutexLock g(task_mu_);
-  auto it = unfinished_.find(t);
-  if (it == unfinished_.end()) {
-    throw OFault(FaultKind::kTaskOrderViolation,
-                 "TASK-END for task " + std::to_string(t) +
-                     " which is not running");
+  {
+    MutexLock g(task_mu_);
+    auto it = unfinished_.find(t);
+    check_task_end(t, /*running=*/it != unfinished_.end());
+    if (--it->second == 0) unfinished_.erase(it);
+    // Floor: every task strictly below it has finished. With tasks still
+    // unfinished that is the smallest of them; otherwise everything created
+    // so far is done.
+    const TaskId floor =
+        unfinished_.empty() ? max_task_ + 1 : unfinished_.begin()->first;
+    task_floor_.store(floor, std::memory_order_release);
   }
-  if (--it->second == 0) unfinished_.erase(it);
-  // Floor: every task strictly below it has finished. With tasks still
-  // unfinished that is the smallest of them; otherwise everything created
-  // so far is done.
-  const TaskId floor =
-      unfinished_.empty() ? max_task_ + 1 : unfinished_.begin()->first;
-  task_floor_.store(floor, std::memory_order_release);
+  // Unbind only once the end is accepted: a faulted TASK-END leaves the
+  // caller's task and journal in place for abort_task, as the serial
+  // engine does.
+  c.cur_task = kNoTask;
+  c.undo.clear();
 }
 
 void ConcurrentVersionStore::abort_task(TaskId t) {
@@ -1079,7 +1023,6 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
   }
   sched_point(SchedKind::kTaskOp, 0);
   ThreadCtx& c = ctx();
-  bool freed_any = false;
   // Per-entry undo action for the shared newest-first driver (see
   // core/undo_journal.hpp for why reverse order is load-bearing). This
   // engine's revalidation is the chain walk under the shard lock: entries
@@ -1087,13 +1030,12 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
   // reclaimed or released before the abort. One body serves both entry
   // kinds so the seqlock-windowed surgery stays in a single locked scope.
   auto undo_one = [&](const UndoEntry& e) -> bool {
-    CSlot* sp = slot_ptr(e.slot);
-    if (sp == nullptr || sp->allocated.load(std::memory_order_acquire) == 0) {
+    const OAddr a = ostruct_addr(e.slot);
+    if (!is_versioned_addr(a)) {
       return false;  // the whole O-structure was released in the meantime
     }
-    CSlot& sl = *sp;
+    CSlot& sl = *slot_ptr(e.slot);
     Shard& sh = shard_of(e.slot);
-    bool changed = false;
     {
       ShardLock g(*this, sh);
       const Seek at = seek(sh, sl, e.version);
@@ -1105,68 +1047,48 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
         if (cb.locked_by.load(std::memory_order_relaxed) != t) {
           return false;  // already unlocked (or re-locked by another task)
         }
-        const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-        sl.seq.store(sq + 1, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_release);
-        cb.locked_by.store(kNoTask, std::memory_order_relaxed);
-        sl.seq.store(sq + 2, std::memory_order_release);
-        if (tracing()) {
-          emit(telemetry::EventType::kLockRelease, OpCode{},
-               ostruct_addr(e.slot), e.version, t);
-        }
-        changed = true;
+        release_lock(c, sl, cb, a, t);
       } else {
         // Unlink the created version. A lock another task took on it dies
         // with the block — their unlock will fault kNotLockOwner, the
         // deterministic "you read an aborted version" signal.
         const std::uint64_t epoch =
             global_epoch_.load(std::memory_order_relaxed);
-        const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-        sl.seq.store(sq + 1, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_release);
-        const std::uint32_t nx = cb.next.load(std::memory_order_relaxed);
-        if (at.pred == kNil) {
-          sl.head.store(nx, std::memory_order_relaxed);
-        } else {
-          block(sh, at.pred).next.store(nx, std::memory_order_relaxed);
+        {
+          WriteWindow w(sl);
+          w.splice(sh, at.pred, cb.next.load(std::memory_order_relaxed), -1);
+          cb.locked_by.store(kNoTask, std::memory_order_relaxed);
         }
-        cb.locked_by.store(kNoTask, std::memory_order_relaxed);
-        sl.nversions.fetch_sub(1, std::memory_order_relaxed);
-        sl.seq.store(sq + 2, std::memory_order_release);
         // Purge shadow-registry entries naming the dead block, plus the
-        // entry this store created for its shadowed neighbour — with v
-        // gone the neighbour is the live head (or mid-list) again and must
-        // not be retired under v's fence.
-        const std::uint64_t slot = e.slot;
-        const Ver v = e.version;
+        // entry this store of v = e.version created for its shadowed
+        // neighbour — with v gone the neighbour is the live head (or
+        // mid-list) again and must not be retired under v's fence.
         sh.shadowed.erase(
             std::remove_if(sh.shadowed.begin(), sh.shadowed.end(),
                            [&](const Shadowed& x) {
                              if (x.block == at.cur) return true;
-                             if (x.slot != slot || x.shadower != v) {
+                             if (x.slot != e.slot || x.shadower != e.version) {
                                return false;
                              }
                              // The neighbour v shadowed is live again;
                              // tell the checker before v's free event.
                              if (tracing()) {
-                               emit(telemetry::EventType::kBlockRestored,
-                                    OpCode{}, ostruct_addr(slot), x.version,
+                               emit(c, telemetry::EventType::kBlockRestored,
+                                    OpCode{}, a, x.version,
                                     trace_id(sh, x.block));
                              }
                              return true;
                            }),
             sh.shadowed.end());
         if (tracing()) {
-          emit(telemetry::EventType::kBlockFreed, OpCode{},
-               ostruct_addr(e.slot), e.version, trace_id(sh, at.cur));
+          emit(c, telemetry::EventType::kBlockFreed, OpCode{}, a, e.version,
+               trace_id(sh, at.cur));
         }
         sh.limbo.push_back({at.cur, epoch});
-        freed_any = true;
-        changed = true;
       }
     }
-    if (changed) wake(sh);
-    return changed;
+    wake(sh);
+    return true;
   };
   const UndoReplayCounts undone =
       replay_undo_newest_first(c.undo, undo_one, undo_one);
@@ -1174,7 +1096,7 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
   c.local.aborted_locks += undone.locks;
   c.undo.clear();
   if (c.cur_task == t) c.cur_task = kNoTask;
-  if (freed_any) {
+  if (undone.blocks != 0) {
     // Open the unlinked blocks' grace period; they become harvestable once
     // every reader active right now has unpinned.
     global_epoch_.fetch_add(1, std::memory_order_seq_cst);
@@ -1182,7 +1104,7 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
   }
   ++c.local.aborts;
   if (tracing()) {
-    emit(telemetry::EventType::kTaskAborted, OpCode{}, 0, t, undone.blocks);
+    emit(c, telemetry::EventType::kTaskAborted, OpCode{}, 0, t, undone.blocks);
   }
 }
 
@@ -1191,54 +1113,45 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
 
 std::optional<std::uint64_t> ConcurrentVersionStore::peek_version(OAddr a,
                                                                   Ver v) {
-  const std::uint64_t slot = slot_of(a);
-  Shard& sh = shard_of(slot);
-  CSlot& sl = *slot_ptr(slot);
-  ShardLock g(*this, sh);
-  const Seek at = seek(sh, sl, v);
+  const SlotRef r = locate(a);
+  ShardLock g(*this, r.sh);
+  const Seek at = seek(r.sh, r.sl, v);
   if (!at.exact) return std::nullopt;
-  return block(sh, at.cur).data.load(std::memory_order_relaxed);
+  return block(r.sh, at.cur).data.load(std::memory_order_relaxed);
 }
 
 std::optional<Ver> ConcurrentVersionStore::newest_version(OAddr a) {
-  const std::uint64_t slot = slot_of(a);
-  Shard& sh = shard_of(slot);
-  CSlot& sl = *slot_ptr(slot);
-  ShardLock g(*this, sh);
-  const std::uint32_t b = sl.head.load(std::memory_order_relaxed);
+  const SlotRef r = locate(a);
+  ShardLock g(*this, r.sh);
+  const std::uint32_t b = r.sl.head.load(std::memory_order_relaxed);
   if (b == kNil) return std::nullopt;
-  return block(sh, b).version.load(std::memory_order_relaxed);
+  return block(r.sh, b).version.load(std::memory_order_relaxed);
 }
 
 std::optional<TaskId> ConcurrentVersionStore::lock_holder(OAddr a, Ver v) {
-  const std::uint64_t slot = slot_of(a);
-  Shard& sh = shard_of(slot);
-  CSlot& sl = *slot_ptr(slot);
-  ShardLock g(*this, sh);
-  const Seek at = seek(sh, sl, v);
+  const SlotRef r = locate(a);
+  ShardLock g(*this, r.sh);
+  const Seek at = seek(r.sh, r.sl, v);
   if (!at.exact) return std::nullopt;
-  const TaskId l = block(sh, at.cur).locked_by.load(std::memory_order_relaxed);
+  const TaskId l =
+      block(r.sh, at.cur).locked_by.load(std::memory_order_relaxed);
   return l == kNoTask ? std::nullopt : std::optional<TaskId>(l);
 }
 
 int ConcurrentVersionStore::version_count(OAddr a) {
-  const std::uint64_t slot = slot_of(a);
-  Shard& sh = shard_of(slot);
-  CSlot& sl = *slot_ptr(slot);
-  ShardLock g(*this, sh);
-  return static_cast<int>(sl.nversions.load(std::memory_order_relaxed));
+  const SlotRef r = locate(a);
+  ShardLock g(*this, r.sh);
+  return static_cast<int>(r.sl.nversions.load(std::memory_order_relaxed));
 }
 
 std::vector<std::pair<Ver, std::uint64_t>>
 ConcurrentVersionStore::slot_versions(OAddr a) {
-  const std::uint64_t slot = slot_of(a);
-  Shard& sh = shard_of(slot);
-  CSlot& sl = *slot_ptr(slot);
-  ShardLock g(*this, sh);
+  const SlotRef r = locate(a);
+  ShardLock g(*this, r.sh);
   std::vector<std::pair<Ver, std::uint64_t>> out;
-  for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
+  for (std::uint32_t b = r.sl.head.load(std::memory_order_relaxed);
        b != kNil;) {
-    CBlock& cb = block(sh, b);
+    CBlock& cb = block(r.sh, b);
     out.emplace_back(cb.version.load(std::memory_order_relaxed),
                      cb.data.load(std::memory_order_relaxed));
     b = cb.next.load(std::memory_order_relaxed);
@@ -1254,7 +1167,6 @@ ConcurrentVersionStore::Stats ConcurrentVersionStore::stats() const {
   const int n = nctx_.load(std::memory_order_acquire);
   for (int i = 0; i < n; ++i) {
     const Stats& l = ctxs_[i].local;
-    s.ops += l.ops;
     s.loads += l.loads;
     s.stores += l.stores;
     s.lock_ops += l.lock_ops;
@@ -1266,6 +1178,7 @@ ConcurrentVersionStore::Stats ConcurrentVersionStore::stats() const {
     s.aborted_blocks += l.aborted_blocks;
     s.aborted_locks += l.aborted_locks;
   }
+  s.ops = s.loads + s.stores + s.lock_ops;
   for (int i = 0; i < nshards_; ++i) {
     s.blocks_reclaimed +=
         shards_[i].reclaimed.load(std::memory_order_relaxed);
@@ -1278,10 +1191,8 @@ ConcurrentVersionStore::check_integrity() {
   IntegrityReport rep;
   const std::uint64_t nslots = slot_count_.load(std::memory_order_acquire);
   for (std::uint64_t s = 0; s < nslots && rep.ok; ++s) {
-    CSlot* sp = slot_ptr(s);
-    if (sp == nullptr || sp->allocated.load(std::memory_order_acquire) == 0) {
-      continue;
-    }
+    if (!is_versioned_addr(ostruct_addr(s))) continue;
+    const CSlot& sl = *slot_ptr(s);
     Shard& sh = shard_of(s);
     ShardLock g(*this, sh);
     // Bounded walk with explicit visited tracking: a corrupted chain may
@@ -1290,7 +1201,7 @@ ConcurrentVersionStore::check_integrity() {
     std::vector<std::uint32_t> seen;
     bool first = true;
     Ver prev = 0;
-    for (std::uint32_t b = sp->head.load(std::memory_order_relaxed);
+    for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
          b != kNil; ) {
       if (std::find(seen.begin(), seen.end(), b) != seen.end()) {
         rep.ok = false;
@@ -1314,11 +1225,11 @@ ConcurrentVersionStore::check_integrity() {
       b = cb.next.load(std::memory_order_relaxed);
     }
     if (rep.ok &&
-        seen.size() != sp->nversions.load(std::memory_order_relaxed)) {
+        seen.size() != sl.nversions.load(std::memory_order_relaxed)) {
       rep.ok = false;
       rep.detail =
           "slot " + std::to_string(s) + ": nversions " +
-          std::to_string(sp->nversions.load(std::memory_order_relaxed)) +
+          std::to_string(sl.nversions.load(std::memory_order_relaxed)) +
           " != chain length " + std::to_string(seen.size());
     }
   }

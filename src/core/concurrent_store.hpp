@@ -73,11 +73,6 @@ struct ConcurrencyConfig {
   int shards = 64;
   /// Registration slots for host threads (workers + the owning thread).
   int max_threads = 64;
-  /// Optimistic spins on a blocked op before parking on the shard CV.
-  int spin_iters = 128;
-  /// One timed park slice; bounds the staleness of a missed wakeup (the
-  /// wake fast path reads the waiter count relaxed, see wake()).
-  std::uint64_t park_slice_us = 200;
   /// Total blocked time after which a parked op faults kWouldBlock — the
   /// concurrent engine's deadlock report.
   std::uint64_t deadlock_timeout_ms = 2000;
@@ -85,9 +80,6 @@ struct ConcurrencyConfig {
   /// effectively "never", matching the serial engine at test scale where
   /// checked runs must see identical event vocabularies.
   std::size_t reclaim_threshold = std::size_t{1} << 62;
-  /// Optimistic walk bound; exceeding it forces a seqlock retry (belt and
-  /// braces against a transiently inconsistent chain).
-  std::size_t walk_limit = std::size_t{1} << 20;
   /// Reclamation policy (the GcPolicy seam, core/gc_policy.hpp). kPaper
   /// applies the fence rule (shadower <= oldest unfinished task); kBounded
   /// applies the per-block range rule (no unfinished task in
@@ -110,7 +102,7 @@ struct ConcurrencyConfig {
 class ConcurrentVersionStore : public VersionEngine {
  public:
   struct Stats {
-    std::uint64_t ops = 0;           ///< versioned ISA ops executed
+    std::uint64_t ops = 0;           ///< loads + stores + lock_ops
     std::uint64_t loads = 0;         ///< LOAD-VERSION / LOAD-LATEST
     std::uint64_t stores = 0;        ///< STORE-VERSION (incl. renames)
     std::uint64_t lock_ops = 0;      ///< LOCK-LOAD / UNLOCK
@@ -162,13 +154,14 @@ class ConcurrentVersionStore : public VersionEngine {
 
  private:
   /// Checked registration shared by task_created and an implicitly-creating
-  /// task_begin (task_mu_ held). Mirrors core/gc.cpp's diagnostics.
+  /// task_begin (task_mu_ held). Its diagnostics come from
+  /// core/gc_policy.cpp, shared with the serial engine.
   void create_task_locked(TaskId t) OSIM_REQUIRES(task_mu_);
 
  public:
 
   // ---- Protection ----
-  bool is_versioned_addr(Addr a) const override;
+  bool is_versioned_addr(Addr a) const final;
   void check_conventional(Addr a) const override;
 
   /// Abort every parked waiter (they fault kWouldBlock). Used by the task
@@ -214,7 +207,7 @@ class ConcurrentVersionStore : public VersionEngine {
 
   /// Threads registered so far. Invariant: never exceeds
   /// ConcurrencyConfig::max_threads (osim-mc checks this after every
-  /// explored schedule; the seeded ctx_id overshoot bug violates it).
+  /// explored schedule; the seeded ctx() overshoot bug violates it).
   int registered_threads() const {
     return nctx_.load(std::memory_order_acquire);
   }
@@ -309,7 +302,6 @@ class ConcurrentVersionStore : public VersionEngine {
     // Incremented under writer_mu; atomic so stats() may read it without
     // the lock.
     std::atomic<std::uint64_t> reclaimed{0};
-    std::uint64_t allocated OSIM_GUARDED_BY(writer_mu) = 0;
     // Dense trace-wide block ids for checker runs (local ids repeat across
     // shards; the lifecycle checker needs one id space). Lazy, writer_mu.
     std::vector<std::uint32_t> trace_ids OSIM_GUARDED_BY(writer_mu);
@@ -338,12 +330,11 @@ class ConcurrentVersionStore : public VersionEngine {
 
   // ---- Thread registration ----
   ThreadCtx& ctx();
-  int ctx_id();
 
   /// Append to the current task's rollback journal; no-op unless
   /// track_aborts is set and a task is bound to this thread.
-  void journal(UndoEntry::Kind kind, std::uint64_t slot, Ver v) {
-    ThreadCtx& c = ctx();
+  void journal(ThreadCtx& c, UndoEntry::Kind kind, std::uint64_t slot,
+               Ver v) {
     if (!undo_active(cfg_.track_aborts, c.cur_task)) return;
     c.undo.push_back({kind, slot, v});
   }
@@ -353,7 +344,7 @@ class ConcurrentVersionStore : public VersionEngine {
   std::uint64_t shard_index(const Shard& sh) const {
     return static_cast<std::uint64_t>(&sh - shards_.get());
   }
-  CBlock& block(Shard& sh, std::uint32_t idx) {
+  static CBlock& block(Shard& sh, std::uint32_t idx) {
     return sh.chunk[idx >> kBlockChunkBits].load(std::memory_order_acquire)
         [idx & (kBlockChunkSize - 1)];
   }
@@ -361,13 +352,37 @@ class ConcurrentVersionStore : public VersionEngine {
   std::uint64_t slot_of(OAddr a) const;  // faults on unversioned addresses
   [[noreturn]] void fault_unversioned(OAddr a) const;
 
+  /// A versioned address's slot and shard (slot_of faults on the rest).
+  struct SlotRef {
+    std::uint64_t slot;
+    CSlot& sl;
+    Shard& sh;
+  };
+  SlotRef locate(OAddr a) {
+    const std::uint64_t slot = slot_of(a);
+    return {slot, *slot_ptr(slot), shard_of(slot)};
+  }
+
+  // ---- The op prologue ----
+  /// A slot op's operands, resolved once by begin_op and passed down.
+  struct OpSite : SlotRef {
+    ThreadCtx& c;
+    OpCode op;
+    OAddr a;
+  };
+  /// Finds the calling thread's context (one binding-list scan), counts the
+  /// op in `kind` (faulting ops too), resolves the slot (faulting on an
+  /// unversioned address) and emits the kIsaOp event when tracing.
+  OpSite begin_op(std::uint64_t Stats::*kind, OpCode op, OAddr a, Ver v);
+
   // ---- Epoch-based reclamation ----
   struct EpochPin;  // RAII pin defined in the .cpp
   std::uint64_t min_active_epoch() const;
 
   // ---- Block pool (writer_mu held) ----
-  std::uint32_t alloc_block(Shard& sh) OSIM_REQUIRES(sh.writer_mu);
-  void maybe_reclaim(Shard& sh) OSIM_REQUIRES(sh.writer_mu);
+  std::uint32_t alloc_block(ThreadCtx& c, Shard& sh)
+      OSIM_REQUIRES(sh.writer_mu);
+  void maybe_reclaim(ThreadCtx& c, Shard& sh) OSIM_REQUIRES(sh.writer_mu);
 
   // ---- Reads ----
   struct ReadOutcome {
@@ -376,12 +391,9 @@ class ConcurrentVersionStore : public VersionEngine {
     Ver got = 0;
     std::uint64_t data = 0;
   };
-  /// One consistent optimistic walk (seqlock read + epoch pin).
-  ReadOutcome try_read(Shard& sh, CSlot& sl, bool exact, Ver key);
-  /// Pessimistic walk under the shard writer lock; used when a tracer is
-  /// attached so read events interleave linearizably with store events.
-  ReadOutcome read_serialized(Shard& sh, CSlot& sl, bool exact, Ver key,
-                              OpCode op, OAddr a);
+  /// One consistent optimistic walk (seqlock read + epoch pin); under the
+  /// shard writer lock when tracing.
+  ReadOutcome try_read(const OpSite& o, bool exact, Ver key);
   /// Shared LOAD-VERSION / LOAD-LATEST driver.
   std::uint64_t load_common(OAddr a, bool exact, Ver key, Ver* found,
                             OpCode op);
@@ -390,11 +402,10 @@ class ConcurrentVersionStore : public VersionEngine {
                                  Ver* found, OpCode op);
 
   // ---- Blocking ----
-  /// Wait until `sl`'s sequence moves past `seq_seen`; spin first, then
-  /// park. Throws OFault(kWouldBlock) after the deadlock timeout or when
-  /// request_stop() fires.
-  void wait_change(Shard& sh, CSlot& sl, std::uint32_t seq_seen, OpCode op,
-                   OAddr a, Ver v);
+  /// Wait until the op's slot sequence moves past `seq_seen`; spin first,
+  /// then park. Throws OFault(kWouldBlock) after the deadlock timeout or
+  /// when request_stop() fires.
+  void wait_change(const OpSite& o, std::uint32_t seq_seen, Ver v);
   void wake(Shard& sh);
 
   // ---- Serialized store/unlock internals (writer_mu held) ----
@@ -409,8 +420,13 @@ class ConcurrentVersionStore : public VersionEngine {
   /// The one locked chain lookup: relaxed loads are exact under writer_mu,
   /// and the walk stops at the key, so it costs the versions above it.
   Seek seek(Shard& sh, const CSlot& sl, Ver key) OSIM_REQUIRES(sh.writer_mu);
-  void store_locked(Shard& sh, CSlot& sl, std::uint64_t slot, Ver v,
-                    std::uint64_t data) OSIM_REQUIRES(sh.writer_mu);
+  /// The one seqlock write window (RAII, defined in the .cpp with the one
+  /// chain splice), and the one lock release, for UNLOCK and abort.
+  class WriteWindow;
+  void release_lock(ThreadCtx& c, CSlot& sl, CBlock& cb, OAddr a,
+                    TaskId owner);
+  void store_locked(const OpSite& o, Ver v, std::uint64_t data)
+      OSIM_REQUIRES(o.sh.writer_mu);
   std::uint32_t trace_id(Shard& sh, std::uint32_t b)
       OSIM_REQUIRES(sh.writer_mu);
 
@@ -431,7 +447,6 @@ class ConcurrentVersionStore : public VersionEngine {
     ConcurrentVersionStore& s_;
     Shard& sh_;
   };
-  friend class ShardLock;
 
   /// Bookkeeping/decision announcement; single branch with no hook.
   void sched_point(SchedKind k, std::uint64_t obj) {
@@ -440,8 +455,8 @@ class ConcurrentVersionStore : public VersionEngine {
 
   // ---- Tracing (trace_mu_ held inside) ----
   bool tracing() const { return tracer_ != nullptr; }
-  void emit(telemetry::EventType type, OpCode op, OAddr addr, Ver version,
-            std::uint64_t arg);
+  void emit(const ThreadCtx& c, telemetry::EventType type, OpCode op,
+            OAddr addr, Ver version, std::uint64_t arg);
 
   ConcurrencyConfig cfg_;
   std::uint64_t shard_mask_ = 0;

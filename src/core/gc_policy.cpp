@@ -11,18 +11,30 @@ namespace osim {
 // ---------------------------------------------------------------------------
 // Policy-independent task lifecycle (GC rules #1-#3)
 
-void GcPolicy::task_created(TaskId t) {
-  if (!tasks_.empty() && t < tasks_.oldest()) {
+void check_task_created(TaskId t, TaskId oldest, TaskId floor) {
+  if (t < oldest) {
     throw OFault(FaultKind::kTaskOrderViolation,
                  "task " + std::to_string(t) +
                      " is older than the oldest unfinished task " +
-                     std::to_string(tasks_.oldest()));
+                     std::to_string(oldest));
   }
-  if (t <= floor_) {
+  if (t <= floor) {
     throw OFault(FaultKind::kTaskOrderViolation,
                  "task " + std::to_string(t) +
-                     " is not above the GC floor " + std::to_string(floor_));
+                     " is not above the GC floor " + std::to_string(floor));
   }
+}
+
+void check_task_end(TaskId t, bool running) {
+  if (!running) {
+    throw OFault(FaultKind::kTaskOrderViolation,
+                 "TASK-END for task " + std::to_string(t) +
+                     " which is not running");
+  }
+}
+
+void GcPolicy::task_created(TaskId t) {
+  check_task_created(t, tasks_.empty() ? kNoTask : tasks_.oldest(), floor_);
   tasks_.add(t);
 }
 
@@ -31,11 +43,7 @@ void GcPolicy::task_begin(TaskId t) {
 }
 
 void GcPolicy::task_end(TaskId t) {
-  if (!tasks_.remove(t)) {
-    throw OFault(FaultKind::kTaskOrderViolation,
-                 "TASK-END for task " + std::to_string(t) +
-                     " which is not running");
-  }
+  check_task_end(t, /*running=*/tasks_.remove(t));
   on_task_retired();
 }
 

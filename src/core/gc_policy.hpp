@@ -81,6 +81,13 @@ inline bool gc_range_has_live_task(const std::vector<TaskId>& sorted_live,
   return it != sorted_live.end() && *it < s;
 }
 
+/// The task-order checks of both engines, with one set of fault texts
+/// (OFault kTaskOrderViolation): GC rules #1 and #3 at creation, where
+/// `oldest` is the oldest unfinished task (kNoTask, below every id, if
+/// none), and TASK-END of a task that is not `running`.
+void check_task_created(TaskId t, TaskId oldest, TaskId floor);
+void check_task_end(TaskId t, bool running);
+
 /// Unfinished-task bookkeeping shared by the policies: create counts in a
 /// FlatMap (O(1) on the per-task hot path) plus a sorted vector of distinct
 /// live ids for the ordered queries (oldest unfinished, any-in-range). The

@@ -51,14 +51,12 @@ std::vector<analysis::VOp> root_protocol_stream(const DsSpec& spec) {
 namespace {
 
 /// Concurrency config shared by the litmus programs: few shards so slot i
-/// maps to shard i, a short walk limit (chains are <= 3 blocks, so any
-/// longer walk is corruption and should error fast, not spin), and one
-/// registration slot for the driver thread on top of the program threads.
+/// maps to shard i, and one registration slot for the driver thread on top
+/// of the program threads.
 ConcurrencyConfig mc_cfg(int shards, int program_threads) {
   ConcurrencyConfig cfg;
   cfg.shards = shards;
   cfg.max_threads = program_threads + 1;
-  cfg.walk_limit = 64;
   return cfg;
 }
 

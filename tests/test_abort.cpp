@@ -411,7 +411,6 @@ TEST(ConcurrentAbort, RealDeadlockTimeoutIsConfigurable) {
   // config value actually drives the monitor (and keeping this test fast).
   ConcurrencyConfig cfg;
   cfg.deadlock_timeout_ms = 50;
-  cfg.park_slice_us = 100;
   ConcurrentVersionStore store(cfg);
   const OAddr a = store.alloc(1);
   store.task_created(1);

@@ -353,7 +353,6 @@ TEST(ConcurrentStore, ReclamationUnderReaders) {
 TEST(ConcurrentStore, DeadlockFaultReportsTaskAndOp) {
   ConcurrencyConfig cfg;
   cfg.deadlock_timeout_ms = 100;
-  cfg.spin_iters = 4;
   ConcurrentVersionStore store(cfg);
   const OAddr a = store.alloc(1);
   store.store_version(a, 1, 7);
@@ -383,7 +382,6 @@ TEST(ConcurrentStore, DeadlockFaultReportsTaskAndOp) {
 TEST(ConcurrentStore, WorkerErrorAbortsParkedWaiters) {
   ConcurrencyConfig cfg;
   cfg.deadlock_timeout_ms = 30000;  // parked op must NOT wait this out
-  cfg.spin_iters = 4;
   ConcurrentVersionStore store(cfg);
   const OAddr a = store.alloc(1);
   store.store_version(a, 1, 7);
@@ -408,27 +406,57 @@ TEST(ConcurrentStore, WorkerErrorAbortsParkedWaiters) {
   EXPECT_EQ(store.load_version(a, 2), 9u);
 }
 
-// Task bookkeeping mirrors the serial GC rules: creating a task older than
-// the oldest unfinished one faults, TASK-END of an unknown task faults.
+/// The task-order sequence of TaskOrderRulesMatchSerialEngine on slot `a` of
+/// either engine (tracking aborts); returns the two fault texts. Creating a
+/// task older than the oldest unfinished one faults, and so does TASK-END of
+/// a task that is not running — without unbinding the caller's task 5, so
+/// aborting it still rolls back its store.
+std::vector<std::string> task_order_sequence(VersionEngine& e, OAddr a) {
+  std::vector<std::string> texts;
+  auto fault_text = [&texts](auto&& op, const std::string& want) {
+    try {
+      op();
+      ADD_FAILURE() << "expected kTaskOrderViolation";
+    } catch (const OFault& f) {
+      EXPECT_EQ(f.kind(), FaultKind::kTaskOrderViolation);
+      EXPECT_NE(std::string(f.what()).find(want), std::string::npos)
+          << f.what();
+      texts.emplace_back(f.what());
+    }
+  };
+  e.task_created(5);
+  fault_text([&] { e.task_created(3); }, "older than the oldest unfinished");
+  e.task_begin(5);
+  e.store_version(a, 7, 70);
+  fault_text([&] { e.task_end(99); }, "which is not running");
+  e.abort_task(5);
+  EXPECT_FALSE(e.peek_version(a, 7).has_value());
+  EXPECT_EQ(e.engine_stats().aborted_blocks, 1u);
+  return texts;
+}
+
+// Task bookkeeping mirrors the serial GC rules, with the serial engine's
+// fault texts, and a failed TASK-END leaves the caller's task to abort.
 TEST(ConcurrentStore, TaskOrderRulesMatchSerialEngine) {
-  ConcurrentVersionStore store;
-  store.task_created(5);
-  try {
-    store.task_created(3);
-    FAIL() << "expected kTaskOrderViolation";
-  } catch (const OFault& f) {
-    EXPECT_EQ(f.kind(), FaultKind::kTaskOrderViolation);
-    EXPECT_NE(std::string(f.what()).find("older than the oldest unfinished"),
-              std::string::npos);
+  ConcurrencyConfig ccfg;
+  ccfg.track_aborts = true;
+  ConcurrentVersionStore store(ccfg);
+  std::vector<std::string> concurrent;
+  {
+    SCOPED_TRACE("concurrent engine");
+    concurrent = task_order_sequence(store, store.alloc(1));
   }
-  try {
-    store.task_end(99);
-    FAIL() << "expected kTaskOrderViolation";
-  } catch (const OFault& f) {
-    EXPECT_EQ(f.kind(), FaultKind::kTaskOrderViolation);
-    EXPECT_NE(std::string(f.what()).find("which is not running"),
-              std::string::npos);
+  MachineConfig cfg;
+  cfg.num_cores = 1;
+  cfg.backend = BackendKind::kFunctional;
+  cfg.ostruct.track_aborts = true;
+  Env env(cfg);
+  std::vector<std::string> serial;
+  {
+    SCOPED_TRACE("functional serial engine");
+    serial = task_order_sequence(env.engine(), env.engine().alloc(1));
   }
+  EXPECT_EQ(concurrent, serial);
 }
 
 /// What one op did: "ok", or the name of the FaultKind it raised.
@@ -505,11 +533,22 @@ TEST(ConcurrentStore, FaultParityWithSerialEngine) {
     serial = unlock_fault_sequence(env.engine(), env.engine().alloc(1));
   }
   EXPECT_EQ(concurrent, serial);
+  // The op counts perfbench checks each round against: every ISA call
+  // counts once, faulted calls and rename unlocks included.
+  ConcurrentVersionStore::Stats s = store.stats();
+  EXPECT_EQ(s.ops, concurrent.size());
+  EXPECT_EQ(s.ops, s.loads + s.stores + s.lock_ops);
+  EXPECT_EQ(s.loads, 1u);
+  EXPECT_EQ(s.stores, 5u);
+  EXPECT_EQ(s.lock_ops, 10u);
 
   store.release(a, 1);
   EXPECT_EQ(outcome([&] { store.load_version(a, 7); }),
             to_string(FaultKind::kVersionedAccessToUnversionedPage));
   EXPECT_FALSE(store.is_versioned_addr(a));
+  s = store.stats();
+  EXPECT_EQ(s.ops, concurrent.size() + 1);
+  EXPECT_EQ(s.ops, s.loads + s.stores + s.lock_ops);
 }
 
 // Every locked lookup on one long chain built mostly by mid-list inserts:

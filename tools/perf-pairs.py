@@ -6,15 +6,16 @@
     tools/perf-pairs.py --trajectory FILE...
 
 The first form extracts REV's committed files (git archive) into
-.perf_pairs/<sha>/, then runs perfbench/run.py there and in the working
-tree as ten alternating pairs on every BENCHMARK.json workload: pair i uses
-seed 20 + i on both sides, and the side that runs first alternates from pair
-to pair, so that drift of a shared host lands on both sides alike. Each side
-builds its own perfbench (the first run of a side builds it; later runs
-only check the build). Every run lasts BENCHMARK.json's run_seconds, and
-every run must exit 0 with a correct result, or the comparison stops. --out
-writes every pair's end-to-end metrics and the per-metric summary to FILE
-after each pair, so an interrupted run keeps what it measured.
+.perf_pairs/<sha>/, deleting any other revision's tree there, then runs
+perfbench/run.py there and in the working tree as ten alternating pairs on
+every BENCHMARK.json workload: pair i uses seed 20 + i on both sides, and
+the side that runs first alternates from pair to pair, so that drift of a
+shared host lands on both sides alike. Each side builds its own perfbench
+(the first run of a side builds it; later runs only check the build).
+Every run lasts BENCHMARK.json's run_seconds, and every run must exit 0
+with a correct result, or the comparison stops. --out writes every pair's
+end-to-end metrics and the per-metric summary to FILE after each pair, so
+an interrupted run keeps what it measured.
 
 The second form only re-reads such a file and prints its verdict; it times
 nothing.
@@ -42,6 +43,7 @@ import argparse
 import datetime
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -74,8 +76,16 @@ def load_spec():
 
 
 def extract(sha):
-    """REV's committed files in their own directory (reused across calls)."""
+    """REV's committed files in their own directory (reused across calls).
+
+    Each tree holds a full perfbench build, so the other revisions' trees
+    are deleted first: the directory keeps only the one being compared."""
     root = os.path.join(WORKDIR, sha)
+    if os.path.isdir(WORKDIR):
+        for name in os.listdir(WORKDIR):
+            other = os.path.join(WORKDIR, name)
+            if name != sha and os.path.isdir(other):
+                shutil.rmtree(other)
     done = os.path.join(root, ".extracted")
     if not os.path.exists(done):
         os.makedirs(root, exist_ok=True)

@@ -53,6 +53,7 @@ for prog in mp2 lock_handoff wide3 gc_fence ctx_bound deadlock_pair; do
   ./build-asan-ubsan/tools/osim-mc --program "$prog" --mode naive
 done
 ./build-asan-ubsan/tools/osim-mc --replay tools/testdata/mc_mp2.sched
+./build-asan-ubsan/tools/osim-mc --replay tools/testdata/mc_mp2_checked.sched
 
 echo
 echo "== ASan+UBSan: chaos soak (fault injection + abort/retry) =="
