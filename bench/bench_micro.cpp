@@ -103,20 +103,21 @@ void BM_VersionedStoreLoad(benchmark::State& state) {
   cfg.num_cores = 1;
   Machine m(cfg);
   OStructureManager osm(m);
-  OAddr a = osm.alloc();
+  VersionStore& vs = osm.store();
+  OAddr a = vs.alloc();
   std::uint64_t iters = 0;
   m.spawn(0, [&] {
     Ver v = 1;
     for (auto _ : state) {
-      osm.store_version(a, v, v);
-      benchmark::DoNotOptimize(osm.load_version(a, v));
+      vs.store_version(a, v, v);
+      benchmark::DoNotOptimize(vs.load_version(a, v));
       ++v;
       ++iters;
       if (v == 1024) {
         // Recycle the slot so per-iteration cost stays O(1) however many
         // iterations the harness schedules.
-        osm.release(a);
-        a = osm.alloc();
+        vs.release(a);
+        a = vs.alloc();
         v = 1;
       }
     }
@@ -130,11 +131,12 @@ void BM_VersionedDirectHit(benchmark::State& state) {
   cfg.num_cores = 1;
   Machine m(cfg);
   OStructureManager osm(m);
-  const OAddr a = osm.alloc();
+  VersionStore& vs = osm.store();
+  const OAddr a = vs.alloc();
   m.spawn(0, [&] {
-    osm.store_version(a, 1, 7);
-    osm.load_version(a, 1);  // warm the compressed line
-    for (auto _ : state) benchmark::DoNotOptimize(osm.load_version(a, 1));
+    vs.store_version(a, 1, 7);
+    vs.load_version(a, 1);  // warm the compressed line
+    for (auto _ : state) benchmark::DoNotOptimize(vs.load_version(a, 1));
   });
   m.run();
 }

@@ -85,11 +85,11 @@ CellResult direct_probe() {
   Env env(make_config(1));
   Cycles direct = 0;
   env.spawn(0, [&] {
-    const OAddr a = env.osm().alloc();
-    env.osm().store_version(a, 1, 42);
-    env.osm().load_version(a, 1);  // install + warm
+    const OAddr a = env.store().alloc();
+    env.store().store_version(a, 1, 42);
+    env.store().load_version(a, 1);  // install + warm
     const Cycles t0 = mach().now();
-    env.osm().load_version(a, 1);
+    env.store().load_version(a, 1);
     direct = mach().now() - t0;
   });
   env.run();

@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   }
   if (o.trace > 0) {
     std::printf("\nlast %zu versioned ops:\n", o.trace);
-    for (const telemetry::TraceEvent& t : env.osm().trace().snapshot()) {
+    for (const telemetry::TraceEvent& t : env.store().trace().snapshot()) {
       std::printf("  cycle %-10llu core %-2d %-18s addr %llx ver %llu\n",
                   static_cast<unsigned long long>(t.time), t.core,
                   to_string(t.op), static_cast<unsigned long long>(t.addr),

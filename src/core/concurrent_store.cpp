@@ -221,17 +221,6 @@ std::uint64_t ConcurrentVersionStore::slot_of(OAddr a) const {
   return (a - kOStructBase) / 8;
 }
 
-void ConcurrentVersionStore::fault_unversioned(OAddr a) const {
-  if (a < kOStructBase || (a - kOStructBase) % 8 != 0) {
-    throw OFault(FaultKind::kVersionedAccessToUnversionedPage,
-                 "address " + std::to_string(a) +
-                     " is outside the versioned region");
-  }
-  throw OFault(FaultKind::kVersionedAccessToUnversionedPage,
-               "slot " + std::to_string((a - kOStructBase) / 8) +
-                   " is not allocated");
-}
-
 ConcurrentVersionStore::OpSite ConcurrentVersionStore::begin_op(
     std::uint64_t Stats::*kind, OpCode op, OAddr a, Ver v) {
   ThreadCtx& c = ctx();
@@ -299,11 +288,14 @@ OAddr ConcurrentVersionStore::alloc(std::size_t slots) {
 }
 
 void ConcurrentVersionStore::release(OAddr base, std::size_t slots) {
+  // Check the whole range before moving any state: a fault leaves every
+  // slot as it was.
   const std::uint64_t first = slot_of(base);
+  for (std::uint64_t s = first + 1; s < first + slots; ++s) {
+    slot_of(ostruct_addr(s));
+  }
   for (std::uint64_t s = first; s < first + slots; ++s) {
-    CSlot* sp = slot_ptr(s);
-    if (sp == nullptr) fault_unversioned(ostruct_addr(s));
-    CSlot& sl = *sp;
+    CSlot& sl = *slot_ptr(s);
     Shard& sh = shard_of(s);
     {
       ShardLock g(*this, sh);

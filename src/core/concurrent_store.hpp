@@ -350,7 +350,6 @@ class ConcurrentVersionStore : public VersionEngine {
   }
   CSlot* slot_ptr(std::uint64_t slot) const;
   std::uint64_t slot_of(OAddr a) const;  // faults on unversioned addresses
-  [[noreturn]] void fault_unversioned(OAddr a) const;
 
   /// A versioned address's slot and shard (slot_of faults on the rest).
   struct SlotRef {

@@ -17,8 +17,9 @@
 //     never actually race here; its cost (two exclusive line acquisitions)
 //     is still charged.
 //
-//   * OStructureManager — the backend itself: a VersionStore wired to a
-//     MachineTimingModel, presenting the historical single-object API.
+//   * OStructureManager — the wiring: it builds a VersionStore and its
+//     MachineTimingModel and binds them. Callers drive the ISA through
+//     store().
 //
 // Blocking semantics (a load of an uncreated version, a load/lock of a
 // locked version) park the core's fiber on the slot's wait list; every store
@@ -122,9 +123,8 @@ class MachineTimingModel final : public TimingModel {
   std::vector<WaitList> waiters_;
 };
 
-/// The timed backend: the semantic engine bound to a MachineTimingModel,
-/// under the historical single-object API (tests and the runtime construct
-/// one per machine and call the ISA on it directly).
+/// The timed backend's wiring: the semantic engine bound to a
+/// MachineTimingModel. The ISA, inspection and tracing are store()'s.
 class OStructureManager {
  public:
   /// The manager registers itself as the machine's L1 drop observer (for
@@ -135,67 +135,7 @@ class OStructureManager {
     timing_.bind(&store_);
   }
 
-  /// The backend-independent semantic engine (checker attachment, tools).
   VersionStore& store() { return store_; }
-  const VersionStore& store() const { return store_; }
-
-  // ---- O-structure allocation (the OS/runtime interface) ----
-  OAddr alloc(std::size_t slots = 1) { return store_.alloc(slots); }
-  void release(OAddr base, std::size_t slots = 1) {
-    store_.release(base, slots);
-  }
-
-  // ---- The versioned ISA (call only from a core fiber) ----
-  std::uint64_t load_version(OAddr a, Ver v, OpFlags f = {}) {
-    return store_.load_version(a, v, f);
-  }
-  std::uint64_t load_latest(OAddr a, Ver cap, Ver* found = nullptr,
-                            OpFlags f = {}) {
-    return store_.load_latest(a, cap, found, f);
-  }
-  void store_version(OAddr a, Ver v, std::uint64_t data, OpFlags f = {}) {
-    store_.store_version(a, v, data, f);
-  }
-  std::uint64_t lock_load_version(OAddr a, Ver v, TaskId locker,
-                                  OpFlags f = {}) {
-    return store_.lock_load_version(a, v, locker, f);
-  }
-  std::uint64_t lock_load_latest(OAddr a, Ver cap, TaskId locker,
-                                 Ver* found = nullptr, OpFlags f = {}) {
-    return store_.lock_load_latest(a, cap, locker, found, f);
-  }
-  void unlock_version(OAddr a, Ver locked_v, TaskId owner,
-                      std::optional<Ver> rename_to = std::nullopt,
-                      OpFlags f = {}) {
-    store_.unlock_version(a, locked_v, owner, rename_to, f);
-  }
-
-  void task_created(TaskId t) { store_.task_created(t); }
-  void task_begin(TaskId t) { store_.task_begin(t); }
-  void task_end(TaskId t) { store_.task_end(t); }
-
-  // ---- Protection ----
-  bool is_versioned_addr(Addr a) const { return store_.is_versioned_addr(a); }
-  void check_conventional(Addr a) const { store_.check_conventional(a); }
-
-  // ---- Host-side inspection (no timing; tests and tools) ----
-  std::optional<std::uint64_t> peek_version(OAddr a, Ver v) const {
-    return store_.peek_version(a, v);
-  }
-  std::optional<Ver> newest_version(OAddr a) const {
-    return store_.newest_version(a);
-  }
-  std::optional<TaskId> lock_holder(OAddr a, Ver v) const {
-    return store_.lock_holder(a, v);
-  }
-  int version_count(OAddr a) const { return store_.version_count(a); }
-  std::size_t free_blocks() const { return store_.free_blocks(); }
-
-  GcPolicy& gc() { return store_.gc(); }
-  BlockPool& pool() { return store_.pool(); }
-  const OStructConfig& config() const { return store_.config(); }
-  const telemetry::RingSink& trace() const { return store_.trace(); }
-  telemetry::Tracer& tracer() { return store_.tracer(); }
 
  private:
   /// Declared before store_: the engine's constructor takes the model by

@@ -40,6 +40,12 @@ class FaultInjector;
 /// every consumer share one alias.
 using OAddr = Addr;
 
+/// Both engines' fault for a versioned op or release() on an address that
+/// names no allocated slot (OFault kVersionedAccessToUnversionedPage):
+/// "address A is outside the versioned region", else "slot N is not
+/// allocated".
+[[noreturn]] void fault_unversioned(OAddr a);
+
 /// Facade-level abort accounting, identical fields for both engines (the
 /// serial/concurrent drift in what each one counted is fixed here): bench
 /// JSON and osim-report read these regardless of backend. Kept as plain
@@ -54,10 +60,9 @@ struct EngineStats {
 /// Degradation telemetry of a retrying runtime (the concurrent task pool,
 /// the serial chaos round driver): one vocabulary, one JSON spelling, for
 /// every engine. Aggregated outside the engine because retries/backoff are
-/// runtime policy, not ISA semantics; tasks_aborted above is the engine's
-/// own ground truth the runtime's `aborts` must agree with.
+/// runtime policy, not ISA semantics; the aborts themselves are the
+/// engine's EngineStats::tasks_aborted.
 struct RecoveryStats {
-  std::uint64_t aborts = 0;      ///< abort_task() rollbacks performed
   std::uint64_t retries = 0;     ///< task re-runs after an abort
   std::uint64_t giveups = 0;     ///< recoverable faults past the retry cap
   std::uint64_t backoff_us = 0;  ///< total backoff sleep, microseconds

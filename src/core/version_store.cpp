@@ -101,7 +101,12 @@ OAddr VersionStore::alloc(std::size_t slots) {
 }
 
 void VersionStore::release(OAddr base, std::size_t slots) {
+  // Check the whole range before moving any state: a fault leaves every
+  // slot as it was.
   const std::uint64_t first = slot_of(base);
+  for (std::uint64_t s = first + 1; s < first + slots; ++s) {
+    slot_of(ostruct_addr(s));
+  }
   for (std::uint64_t s = first; s < first + slots; ++s) {
     SlotMeta& sm = slots_[s];
     // Discard every version of the slot.
@@ -116,6 +121,7 @@ void VersionStore::release(OAddr base, std::size_t slots) {
     }
     sm.root = kNullBlock;
     sm.allocated = false;
+    sm.marked_root = false;
     sm.order_broken = false;
     sm.nversions = 0;
     if (charges()) {
@@ -126,17 +132,6 @@ void VersionStore::release(OAddr base, std::size_t slots) {
     }
   }
   slot_free_[static_cast<std::uint64_t>(slots)].push_back(first);
-}
-
-void VersionStore::fault_unversioned(OAddr a) const {
-  if (a < kOStructBase || (a - kOStructBase) % 8 != 0) {
-    throw OFault(FaultKind::kVersionedAccessToUnversionedPage,
-                 "address " + std::to_string(a) +
-                     " is outside the versioned region");
-  }
-  throw OFault(FaultKind::kVersionedAccessToUnversionedPage,
-               "slot " + std::to_string((a - kOStructBase) / 8) +
-                   " is not allocated");
 }
 
 void VersionStore::fault_conventional(Addr a) const {
@@ -155,13 +150,13 @@ void VersionStore::emit_event_slow(telemetry::EventType type, OAddr addr,
                                 type, OpCode{}, addr, version, arg));
 }
 
-void VersionStore::stall(const OpFlags& f, std::uint64_t slot, int attempt,
-                         OpCode op, OAddr a, Ver v) {
+void VersionStore::stall(std::uint64_t slot, int attempt, OpCode op, OAddr a,
+                         Ver v) {
   if (attempt == 0) {
     PerCoreCounters& pc =
         core_counters_[static_cast<std::size_t>(cur_core())];
     pc.stalls++;
-    if (f.root) pc.root_stalls++;
+    if (slots_[slot].marked_root) pc.root_stalls++;
   }
   WaitContext w;
   w.slot = slot;
@@ -240,126 +235,67 @@ void VersionStore::reclaim(BlockIndex b) {
 // ---------------------------------------------------------------------------
 // The versioned ISA
 
-std::uint64_t VersionStore::load_version(OAddr a, Ver v, OpFlags f) {
+std::uint64_t VersionStore::read(OpCode op, OAddr a, Ver key, TaskId locker,
+                                 Ver* found) {
+  const bool exact =
+      op == OpCode::kLoadVersion || op == OpCode::kLockLoadVersion;
+  const bool lock =
+      op == OpCode::kLockLoadVersion || op == OpCode::kLockLoadLatest;
   for (int attempt = 0;; ++attempt) {
-    begin_attempt(f, attempt, OpCode::kLoadVersion, a, v);
-    const std::uint64_t slot = slot_of(a);
+    const std::uint64_t slot = begin_attempt(attempt, op, a, key);
     SlotMeta& sm = slots_[slot];
     const FindResult fr =
-        find_exact(pool_, sm.root, v, effective_sorted(sm));
+        exact ? find_exact(pool_, sm.root, key, effective_sorted(sm))
+              : find_latest(pool_, sm.root, key, effective_sorted(sm));
     if (fr.found() && pool_[fr.block].locked_by == kNoTask) {
-      const std::uint64_t data = pool_[fr.block].data;
-      // Semantic point: the version is resolved here, before the charged
-      // lookup can yield to other cores, so cross-core event order matches
-      // the authoritative serialization.
+      VersionBlock& vb = pool_[fr.block];
+      const std::uint64_t data = vb.data;
+      const Ver got = vb.version;
+      if (lock) {
+        vb.locked_by = locker;  // semantic effect, atomic at this timestamp
+        journal({UndoEntry::Kind::kLock, slot, got});
+      }
+      // Semantic point: the version is resolved (and locked) here, before
+      // the charged lookup can yield to other cores, so cross-core event
+      // order matches the authoritative serialization — a competing core's
+      // release/acquire must not appear out of order in the event stream.
       if (tracer_.enabled()) {
         tracer_.emit(make_trace_event(t_.now(), t_.core(),
-                                      telemetry::EventType::kVersionRead,
-                                      OpCode::kLoadVersion, a, v, v));
+                                      telemetry::EventType::kVersionRead, op,
+                                      a, got, key));
       }
+      if (lock) emit_event(telemetry::EventType::kLockAcquire, a, got, locker);
       if (charges()) {
-        t_.lookup_done(slot, fr, /*exact=*/true, v, /*exclusive=*/false,
-                       std::nullopt);
-      }
-      return data;
-    }
-    stall(f, slot, attempt, OpCode::kLoadVersion, a, v);
-  }
-}
-
-std::uint64_t VersionStore::load_latest(OAddr a, Ver cap, Ver* found,
-                                        OpFlags f) {
-  for (int attempt = 0;; ++attempt) {
-    begin_attempt(f, attempt, OpCode::kLoadLatest, a, cap);
-    const std::uint64_t slot = slot_of(a);
-    SlotMeta& sm = slots_[slot];
-    const FindResult fr =
-        find_latest(pool_, sm.root, cap, effective_sorted(sm));
-    if (fr.found() && pool_[fr.block].locked_by == kNoTask) {
-      const std::uint64_t data = pool_[fr.block].data;
-      const Ver got = pool_[fr.block].version;
-      if (tracer_.enabled()) {
-        tracer_.emit(make_trace_event(t_.now(), t_.core(),
-                                      telemetry::EventType::kVersionRead,
-                                      OpCode::kLoadLatest, a, got, cap));
-      }
-      if (charges()) {
-        t_.lookup_done(slot, fr, /*exact=*/false, cap, /*exclusive=*/false,
-                       std::nullopt);
+        // Locking needs exclusive access to the block's line (paper Sec.
+        // III-A "Locking a version"): the lookup's final transaction is a
+        // read-for-ownership, and compressed copies elsewhere are discarded.
+        // A lock's probe expects the pre-lock (unlocked) state.
+        t_.lookup_done(slot, fr, exact, key, /*exclusive=*/lock,
+                       lock ? std::optional<TaskId>(kNoTask) : std::nullopt);
+        if (lock) t_.lock_applied(slot, got, locker);
       }
       if (found != nullptr) *found = got;
       return data;
     }
-    stall(f, slot, attempt, OpCode::kLoadLatest, a, cap);
+    stall(slot, attempt, op, a, key);
   }
 }
 
-std::uint64_t VersionStore::lock_load_version(OAddr a, Ver v, TaskId locker,
-                                              OpFlags f) {
-  for (int attempt = 0;; ++attempt) {
-    begin_attempt(f, attempt, OpCode::kLockLoadVersion, a, v);
-    const std::uint64_t slot = slot_of(a);
-    SlotMeta& sm = slots_[slot];
-    const FindResult fr =
-        find_exact(pool_, sm.root, v, effective_sorted(sm));
-    if (fr.found() && pool_[fr.block].locked_by == kNoTask) {
-      VersionBlock& vb = pool_[fr.block];
-      vb.locked_by = locker;  // semantic effect, atomic at this timestamp
-      journal({UndoEntry::Kind::kLock, slot, v});
-      const std::uint64_t data = vb.data;
-      // Emit at the semantic point: the charged lookup below yields, and a
-      // competing core's release/acquire must not appear out of order in
-      // the event stream.
-      if (tracer_.enabled()) {
-        tracer_.emit(make_trace_event(t_.now(), t_.core(),
-                                      telemetry::EventType::kVersionRead,
-                                      OpCode::kLockLoadVersion, a, v, v));
-      }
-      emit_event(telemetry::EventType::kLockAcquire, a, v, locker);
-      // Locking needs exclusive access to the block's line (paper Sec.
-      // III-A "Locking a version"): the lookup's final transaction is a
-      // read-for-ownership, and compressed copies elsewhere are discarded.
-      if (charges()) {
-        t_.lookup_done(slot, fr, /*exact=*/true, v, /*exclusive=*/true,
-                       kNoTask);
-        t_.lock_applied(slot, v, locker);
-      }
-      return data;
-    }
-    stall(f, slot, attempt, OpCode::kLockLoadVersion, a, v);
-  }
+std::uint64_t VersionStore::load_version(OAddr a, Ver v) {
+  return read(OpCode::kLoadVersion, a, v, kNoTask, nullptr);
+}
+
+std::uint64_t VersionStore::load_latest(OAddr a, Ver cap, Ver* found) {
+  return read(OpCode::kLoadLatest, a, cap, kNoTask, found);
+}
+
+std::uint64_t VersionStore::lock_load_version(OAddr a, Ver v, TaskId locker) {
+  return read(OpCode::kLockLoadVersion, a, v, locker, nullptr);
 }
 
 std::uint64_t VersionStore::lock_load_latest(OAddr a, Ver cap, TaskId locker,
-                                             Ver* found, OpFlags f) {
-  for (int attempt = 0;; ++attempt) {
-    begin_attempt(f, attempt, OpCode::kLockLoadLatest, a, cap);
-    const std::uint64_t slot = slot_of(a);
-    SlotMeta& sm = slots_[slot];
-    const FindResult fr =
-        find_latest(pool_, sm.root, cap, effective_sorted(sm));
-    if (fr.found() && pool_[fr.block].locked_by == kNoTask) {
-      VersionBlock& vb = pool_[fr.block];
-      vb.locked_by = locker;
-      const std::uint64_t data = vb.data;
-      const Ver got = vb.version;
-      journal({UndoEntry::Kind::kLock, slot, got});
-      if (tracer_.enabled()) {
-        tracer_.emit(make_trace_event(t_.now(), t_.core(),
-                                      telemetry::EventType::kVersionRead,
-                                      OpCode::kLockLoadLatest, a, got, cap));
-      }
-      emit_event(telemetry::EventType::kLockAcquire, a, got, locker);
-      if (charges()) {
-        t_.lookup_done(slot, fr, /*exact=*/false, cap, /*exclusive=*/true,
-                       kNoTask);
-        t_.lock_applied(slot, got, locker);
-      }
-      if (found != nullptr) *found = got;
-      return data;
-    }
-    stall(f, slot, attempt, OpCode::kLockLoadLatest, a, cap);
-  }
+                                             Ver* found) {
+  return read(OpCode::kLockLoadLatest, a, cap, locker, found);
 }
 
 void VersionStore::store_impl(std::uint64_t slot, Ver v, std::uint64_t data) {
@@ -435,16 +371,14 @@ void VersionStore::store_impl(std::uint64_t slot, Ver v, std::uint64_t data) {
   gc_->on_store_complete();
 }
 
-void VersionStore::store_version(OAddr a, Ver v, std::uint64_t data,
-                                 OpFlags f) {
-  begin_attempt(f, 0, OpCode::kStoreVersion, a, v);
-  store_impl(slot_of(a), v, data);
+void VersionStore::store_version(OAddr a, Ver v, std::uint64_t data) {
+  store_impl(begin_attempt(0, OpCode::kStoreVersion, a, v), v, data);
 }
 
 void VersionStore::unlock_version(OAddr a, Ver locked_v, TaskId owner,
-                                  std::optional<Ver> rename_to, OpFlags f) {
-  begin_attempt(f, 0, OpCode::kUnlockVersion, a, locked_v);
-  const std::uint64_t slot = slot_of(a);
+                                  std::optional<Ver> rename_to) {
+  const std::uint64_t slot =
+      begin_attempt(0, OpCode::kUnlockVersion, a, locked_v);
   SlotMeta& sm = slots_[slot];
   const FindResult fr =
       find_exact(pool_, sm.root, locked_v, effective_sorted(sm));
@@ -535,20 +469,13 @@ void VersionStore::abort_task(TaskId t) {
               vb.version != e.version) {
             return false;
           }
-          SlotMeta& sm = slots_[e.slot];
           // Whoever locked the aborted version loses it: their later unlock
           // faults kNotLockOwner deterministically (the version is gone).
           vb.locked_by = kNoTask;
           // Purge any shadow registration of the block itself (a mid-list
           // insert is born shadowed) before the free bumps its generation.
           gc_->forget(e.block);
-          sm.nversions--;
-          list_unlink(pool_, &sm.root, e.block);
-          if (charges()) t_.block_reclaimed(e.block, e.slot, e.version);
-          emit_event(telemetry::EventType::kBlockFreed, ostruct_addr(e.slot),
-                     e.version, e.block);
-          pool_.free(e.block);
-          blocks_freed_.inc();
+          reclaim(e.block);
           // The block this insert shadowed is live again: drop its GC
           // registration or a later sweep would reclaim the restored head.
           if (e.shadowed != kNullBlock) {
@@ -593,8 +520,7 @@ void VersionStore::abort_task(TaskId t) {
 // ---------------------------------------------------------------------------
 // Host-side inspection
 
-std::optional<std::uint64_t> VersionStore::peek_version(OAddr a,
-                                                        Ver v) const {
+std::optional<std::uint64_t> VersionStore::peek_version(OAddr a, Ver v) {
   const std::uint64_t slot = slot_of(a);
   const FindResult fr =
       find_exact(pool_, slots_[slot].root, v, effective_sorted(slots_[slot]));
@@ -602,7 +528,7 @@ std::optional<std::uint64_t> VersionStore::peek_version(OAddr a,
   return pool_[fr.block].data;
 }
 
-std::optional<Ver> VersionStore::newest_version(OAddr a) const {
+std::optional<Ver> VersionStore::newest_version(OAddr a) {
   const std::uint64_t slot = slot_of(a);
   BlockIndex b = slots_[slot].root;
   if (b == kNullBlock) return std::nullopt;
@@ -614,7 +540,7 @@ std::optional<Ver> VersionStore::newest_version(OAddr a) const {
   return best;
 }
 
-std::optional<TaskId> VersionStore::lock_holder(OAddr a, Ver v) const {
+std::optional<TaskId> VersionStore::lock_holder(OAddr a, Ver v) {
   const std::uint64_t slot = slot_of(a);
   const FindResult fr =
       find_exact(pool_, slots_[slot].root, v, effective_sorted(slots_[slot]));
@@ -623,7 +549,7 @@ std::optional<TaskId> VersionStore::lock_holder(OAddr a, Ver v) const {
   return l == kNoTask ? std::nullopt : std::optional<TaskId>(l);
 }
 
-int VersionStore::version_count(OAddr a) const {
+int VersionStore::version_count(OAddr a) {
   const std::uint64_t slot = slot_of(a);
   return list_length(pool_, slots_[slot].root);
 }

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/address_map.hpp"
@@ -48,17 +47,10 @@
 
 namespace osim {
 
-struct OpFlags {
-  /// Workload-level "root of the data structure" access; feeds the
-  /// root-stall statistics of Sec. IV-D.
-  bool root = false;
-};
-
-/// The serial semantic engine. Implements the VersionEngine facade; the
-/// flagged ISA overloads below additionally thread the workload-level
-/// OpFlags through to the root-stall statistics (the facade's flagless
-/// surface forwards default flags).
-class VersionStore : public VersionEngine, private GcOwner {
+/// The serial semantic engine, behind the VersionEngine facade. Final, so
+/// calls through a VersionStore reference (versioned<T>, via Env::store())
+/// bind directly rather than through the vtable.
+class VersionStore final : public VersionEngine, private GcOwner {
  public:
   /// Per-core operation counters, packed so one versioned op touches a
   /// single cache line of counter state (an op bumps 2-4 of these), and
@@ -97,55 +89,37 @@ class VersionStore : public VersionEngine, private GcOwner {
   /// (paper Sec. III-C); parked waiters are woken and will fault.
   void release(OAddr base, std::size_t slots = 1) override;
 
+  /// Mark slot `a` as a data structure's root: from now until release(),
+  /// every op on it counts in root_loads and every first stall in
+  /// root_stalls (the root-stall statistics of Sec. IV-D).
+  void mark_root(OAddr a) { slots_[slot_of(a)].marked_root = true; }
+
   // ---- The versioned ISA ----
-  // Each op has a flagged overload (all arguments explicit — no defaults,
-  // so the facade's flagless signature resolves unambiguously) and the
-  // VersionEngine override that forwards default flags.
 
   /// LOAD-VERSION: value of exactly version `v`; blocks until it exists and
   /// is unlocked (locks on *other* versions are ignored).
-  std::uint64_t load_version(OAddr a, Ver v, OpFlags f);
-  std::uint64_t load_version(OAddr a, Ver v) override {
-    return load_version(a, v, OpFlags{});
-  }
+  std::uint64_t load_version(OAddr a, Ver v) override;
 
   /// LOAD-LATEST: value of the highest version <= `cap`; blocks while no
   /// such version exists or the candidate is locked. The version actually
   /// read is reported through `found` if non-null.
-  std::uint64_t load_latest(OAddr a, Ver cap, Ver* found, OpFlags f);
-  std::uint64_t load_latest(OAddr a, Ver cap, Ver* found = nullptr) override {
-    return load_latest(a, cap, found, OpFlags{});
-  }
+  std::uint64_t load_latest(OAddr a, Ver cap, Ver* found = nullptr) override;
 
   /// STORE-VERSION: create version `v` holding `data`. Faults if `v`
   /// already exists (versions are immutable once created).
-  void store_version(OAddr a, Ver v, std::uint64_t data, OpFlags f);
-  void store_version(OAddr a, Ver v, std::uint64_t data) override {
-    store_version(a, v, data, OpFlags{});
-  }
+  void store_version(OAddr a, Ver v, std::uint64_t data) override;
 
   /// LOCK-LOAD-VERSION: LOAD-VERSION + lock; blocks while locked by others.
-  std::uint64_t lock_load_version(OAddr a, Ver v, TaskId locker, OpFlags f);
-  std::uint64_t lock_load_version(OAddr a, Ver v, TaskId locker) override {
-    return lock_load_version(a, v, locker, OpFlags{});
-  }
+  std::uint64_t lock_load_version(OAddr a, Ver v, TaskId locker) override;
 
   /// LOCK-LOAD-LATEST: LOAD-LATEST + lock of the version that was read.
-  std::uint64_t lock_load_latest(OAddr a, Ver cap, TaskId locker, Ver* found,
-                                 OpFlags f);
   std::uint64_t lock_load_latest(OAddr a, Ver cap, TaskId locker,
-                                 Ver* found = nullptr) override {
-    return lock_load_latest(a, cap, locker, found, OpFlags{});
-  }
+                                 Ver* found = nullptr) override;
 
   /// UNLOCK-VERSION: release `locked_v` (held by `owner`), optionally
   /// renaming: creating unlocked version `rename_to` with the same value.
   void unlock_version(OAddr a, Ver locked_v, TaskId owner,
-                      std::optional<Ver> rename_to, OpFlags f);
-  void unlock_version(OAddr a, Ver locked_v, TaskId owner,
-                      std::optional<Ver> rename_to = std::nullopt) override {
-    unlock_version(a, locked_v, owner, rename_to, OpFlags{});
-  }
+                      std::optional<Ver> rename_to = std::nullopt) override;
 
   /// Task creation announcement (GC rule #3 check point). Host-context
   /// safe; charges nothing — creation belongs to the spawning program.
@@ -180,24 +154,10 @@ class VersionStore : public VersionEngine, private GcOwner {
   }
 
   // ---- Host-side inspection (no timing; tests and tools) ----
-  std::optional<std::uint64_t> peek_version(OAddr a, Ver v) const;
-  std::optional<Ver> newest_version(OAddr a) const;
-  std::optional<TaskId> lock_holder(OAddr a, Ver v) const;
-  int version_count(OAddr a) const;
-  // Facade spellings (non-const: the concurrent sibling takes shard locks).
-  std::optional<std::uint64_t> peek_version(OAddr a, Ver v) override {
-    return std::as_const(*this).peek_version(a, v);
-  }
-  std::optional<Ver> newest_version(OAddr a) override {
-    return std::as_const(*this).newest_version(a);
-  }
-  std::optional<TaskId> lock_holder(OAddr a, Ver v) override {
-    return std::as_const(*this).lock_holder(a, v);
-  }
-  int version_count(OAddr a) override {
-    return std::as_const(*this).version_count(a);
-  }
-  std::size_t free_blocks() const { return pool_.free_count(); }
+  std::optional<std::uint64_t> peek_version(OAddr a, Ver v) override;
+  std::optional<Ver> newest_version(OAddr a) override;
+  std::optional<TaskId> lock_holder(OAddr a, Ver v) override;
+  int version_count(OAddr a) override;
 
   /// The reclamation policy behind the GcPolicy seam (selected by
   /// OStructConfig::gc_policy; core/gc_policy.hpp).
@@ -222,8 +182,6 @@ class VersionStore : public VersionEngine, private GcOwner {
     inj_.attach(inj);
     if (file_sink_ != nullptr) file_sink_->set_fault_hook(inj);
   }
-  /// Tasks rolled back by abort_task since construction.
-  std::uint64_t aborts() const { return abort_stats_.tasks_aborted; }
   /// Facade-level abort accounting (same fields as the concurrent engine).
   EngineStats engine_stats() const override { return abort_stats_; }
 
@@ -259,6 +217,7 @@ class VersionStore : public VersionEngine, private GcOwner {
   struct SlotMeta {
     BlockIndex root = kNullBlock;
     bool allocated = false;
+    bool marked_root = false;  ///< set by mark_root(), cleared by release()
     /// Live version count; steers the compressed/uncompressed choice (the
     /// paper's caches "can store both compressed and uncompressed versions
     /// of an O-structure at the same time" — packing into a compressed
@@ -284,7 +243,6 @@ class VersionStore : public VersionEngine, private GcOwner {
     }
     return slot;
   }
-  [[noreturn]] void fault_unversioned(OAddr a) const;
 
   /// True when cost hooks must be dispatched (no TimingFastPath). The
   /// functional backend's hooks are all no-ops; skipping their virtual
@@ -302,17 +260,17 @@ class VersionStore : public VersionEngine, private GcOwner {
 
   [[noreturn]] void fault_conventional(Addr a) const;
 
-  /// Per-attempt preamble: global ordering, injected latency, stats, and
-  /// the architectural trace (recorded at first issue only). Inline: runs
-  /// once per versioned op on both backends.
-  void begin_attempt(const OpFlags& f, int attempt, OpCode op, OAddr a,
-                     Ver v) {
+  /// Per-attempt preamble: global ordering, stats, the architectural trace
+  /// (recorded at first issue only) and injected latency; then resolves
+  /// `a` to its slot, which it returns, and counts a first attempt on a
+  /// root slot. Inline: runs once per versioned op on both backends.
+  std::uint64_t begin_attempt(int attempt, OpCode op, OAddr a, Ver v) {
     tick();
+    PerCoreCounters* pc = nullptr;
     if (attempt == 0) {
       const CoreId core = cur_core();
-      PerCoreCounters& pc = core_counters_[static_cast<std::size_t>(core)];
-      pc.versioned_ops++;
-      if (f.root) pc.root_loads++;
+      pc = &core_counters_[static_cast<std::size_t>(core)];
+      pc->versioned_ops++;
       if (tracer_.enabled()) {
         tracer_.emit(make_trace_event(t_.now(), core,
                                       telemetry::EventType::kIsaOp, op, a, v,
@@ -320,17 +278,25 @@ class VersionStore : public VersionEngine, private GcOwner {
       }
     }
     if (cfg_.injected_latency != 0) t_.op_overhead();
+    const std::uint64_t slot = slot_of(a);
+    if (pc != nullptr && slots_[slot].marked_root) pc->root_loads++;
+    return slot;
   }
   /// First-stall accounting, then park on the slot's wait list. `op`, `a`
   /// and `v` describe the blocked operation for the backend's would-block
   /// report (the functional backend faults with them).
-  void stall(const OpFlags& f, std::uint64_t slot, int attempt, OpCode op,
-             OAddr a, Ver v);
+  void stall(std::uint64_t slot, int attempt, OpCode op, OAddr a, Ver v);
+
+  /// The one loop behind LOAD-VERSION, LOAD-LATEST and their LOCK-LOAD
+  /// forms, `op`: an exact (*-VERSION) or latest (*-LATEST) lookup of
+  /// `key`, and for a LOCK-LOAD a lock for `locker` on the version read.
+  std::uint64_t read(OpCode op, OAddr a, Ver key, TaskId locker, Ver* found);
 
   /// Allocate a version block, growing the pool via the OS trap if needed
   /// and kicking the GC at the watermark. Charges free-list access.
   BlockIndex alloc_block();
-  /// GC reclaim callback: unlink, report to the timing layer, free.
+  /// Unlink block `b` from its slot, report it to the timing layer and
+  /// free it: the GC's reclaim callback, and abort_task's store undo.
   void reclaim(BlockIndex b);
 
   // ---- GcOwner (the engine-side half of the GcPolicy seam) ----

@@ -74,7 +74,6 @@ class ConcurrentTaskPool {
 
   RecoveryStats recovery_stats() const {
     RecoveryStats s;
-    s.aborts = aborts_.load(std::memory_order_relaxed);
     s.retries = retries_.load(std::memory_order_relaxed);
     s.giveups = giveups_.load(std::memory_order_relaxed);
     s.backoff_us = backoff_us_.load(std::memory_order_relaxed);
@@ -180,15 +179,11 @@ class ConcurrentTaskPool {
           giveups_.fetch_add(1, std::memory_order_relaxed);
           // Even a failed task must not leak locks or half-built version
           // chains into the post-mortem state.
-          if (can_abort) {
-            store_.abort_task(tid);
-            aborts_.fetch_add(1, std::memory_order_relaxed);
-          }
+          if (can_abort) store_.abort_task(tid);
           throw;
         }
         if (!can_abort) throw;  // retrying without rollback would corrupt
         store_.abort_task(tid);
-        aborts_.fetch_add(1, std::memory_order_relaxed);
         const std::uint64_t delay =
             std::min(retry_.backoff_base_us
                          << std::min(attempt, 20),
@@ -207,7 +202,6 @@ class ConcurrentTaskPool {
   int workers_;
   std::vector<std::pair<TaskId, TaskFn>> tasks_;
   RetryPolicy retry_;
-  std::atomic<std::uint64_t> aborts_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> giveups_{0};
   std::atomic<std::uint64_t> backoff_us_{0};

@@ -68,13 +68,6 @@ class Env {
     }
     return *m_;
   }
-  /// The timed O-structure backend; timed backend only.
-  OStructureManager& osm() {
-    if (osm_ == nullptr) {
-      throw SimError("osm(): the functional backend has no manager");
-    }
-    return *osm_;
-  }
   /// The backend-independent semantic engine: the versioned ISA, allocation,
   /// protection, inspection and the event tracer — on either backend.
   VersionStore& store() { return m_ != nullptr ? osm_->store() : fb_->store(); }

@@ -45,34 +45,34 @@ class versioned {
   bool bound() const { return env_ != nullptr; }
   OAddr addr() const { return addr_; }
 
-  /// Mark accesses through this object as data-structure-root accesses
-  /// (feeds the paper's root-stall statistics).
-  void mark_root(bool is_root = true) { flags_.root = is_root; }
+  /// Mark this object's slot as a data structure's root: until free(),
+  /// every access to it feeds the paper's root-stall statistics (Sec.
+  /// IV-D). The mark belongs to the slot, not to this object.
+  void mark_root() { env_->store().mark_root(addr_); }
 
   T load_ver(Ver v) const {
-    return from_word(env_->store().load_version(addr_, v, flags_));
+    return from_word(env_->store().load_version(addr_, v));
   }
 
   T load_latest(Ver cap, Ver* got = nullptr) const {
-    return from_word(env_->store().load_latest(addr_, cap, got, flags_));
+    return from_word(env_->store().load_latest(addr_, cap, got));
   }
 
   T lock_load_ver(Ver v, TaskId locker) const {
-    return from_word(env_->store().lock_load_version(addr_, v, locker, flags_));
+    return from_word(env_->store().lock_load_version(addr_, v, locker));
   }
 
   T lock_load_last(Ver cap, TaskId locker, Ver* got = nullptr) const {
-    return from_word(
-        env_->store().lock_load_latest(addr_, cap, locker, got, flags_));
+    return from_word(env_->store().lock_load_latest(addr_, cap, locker, got));
   }
 
   void store_ver(T val, Ver v) {
-    env_->store().store_version(addr_, v, to_word(val), flags_);
+    env_->store().store_version(addr_, v, to_word(val));
   }
 
   void unlock_ver(Ver locked, TaskId owner,
                   std::optional<Ver> rename_to = std::nullopt) {
-    env_->store().unlock_version(addr_, locked, owner, rename_to, flags_);
+    env_->store().unlock_version(addr_, locked, owner, rename_to);
   }
 
   /// Host-side (untimed) peek, for verification code in tests/benches.
@@ -96,7 +96,14 @@ class versioned {
 
   Env* env_ = nullptr;
   OAddr addr_ = 0;
-  OpFlags flags_{};
+  /// Unused: keeps the object at 24 bytes. Workload nodes embed
+  /// versioned<T> and live in the Env's arena, whose layout decides which
+  /// of their fields share a simulated cache line, so every timed figure
+  /// depends on this size.
+  std::uint64_t layout_pad_ = 0;
 };
+
+static_assert(sizeof(versioned<std::uint64_t>) == 24,
+              "timed figures depend on this size (see layout_pad_)");
 
 }  // namespace osim

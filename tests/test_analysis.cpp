@@ -367,7 +367,7 @@ TEST(CheckerIntegration, StrictCleanRunStillSilent) {
 
 TEST(CheckerIntegration, OsmDoubleUnlockFaultsAndIsFlagged) {
   Env env(cfg(1, 1));
-  OStructureManager& o = env.osm();
+  VersionStore& o = env.store();
   const OAddr a = o.alloc();
   env.spawn(0, [&] {
     o.store_version(a, 1, 42);
@@ -382,7 +382,7 @@ TEST(CheckerIntegration, OsmDoubleUnlockFaultsAndIsFlagged) {
 
 TEST(CheckerIntegration, OsmUnlockOfNeverLockedVersionFlagged) {
   Env env(cfg(1, 1));
-  OStructureManager& o = env.osm();
+  VersionStore& o = env.store();
   const OAddr a = o.alloc();
   env.spawn(0, [&] {
     o.store_version(a, 1, 42);
@@ -397,7 +397,7 @@ TEST(CheckerIntegration, OsmLockHeldAcrossTaskEndFlaggedWithoutFault) {
   // The hardware does not fault on this (no such rule in the ISA), which
   // is exactly why the checker exists: the lock leaks past the task.
   Env env(cfg(1, 1));
-  OStructureManager& o = env.osm();
+  VersionStore& o = env.store();
   const OAddr a = o.alloc();
   env.spawn(0, [&] {
     o.store_version(a, 1, 42);
@@ -412,7 +412,7 @@ TEST(CheckerIntegration, OsmLockHeldAcrossTaskEndFlaggedWithoutFault) {
 
 TEST(CheckerIntegration, OsmCleanLockedRunIsSilent) {
   Env env(cfg(1, 1));
-  OStructureManager& o = env.osm();
+  VersionStore& o = env.store();
   const OAddr a = o.alloc();
   env.spawn(0, [&] {
     o.store_version(a, 1, 42);

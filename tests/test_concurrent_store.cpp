@@ -2,11 +2,11 @@
 // (core/concurrent_store.hpp): final-state equivalence across worker
 // counts, mutual exclusion through version locks, seqlock torn-read
 // detection, reclamation under concurrent optimistic readers, the
-// deadlock fault diagnostics, fault parity with the serial engine, and
-// locked lookups on a long chain. tools/run-sanitizers.sh runs this
-// binary under TSan — the seqlock and epoch machinery is designed to be
-// data-race-free at the C++ memory-model level, not merely "works on
-// x86".
+// deadlock fault diagnostics, fault parity with the serial engine,
+// release()'s range check on both engines, and locked lookups on a long
+// chain. tools/run-sanitizers.sh runs this binary under TSan — the
+// seqlock and epoch machinery is designed to be data-race-free at the C++
+// memory-model level, not merely "works on x86".
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/concurrent_store.hpp"
@@ -457,6 +458,78 @@ TEST(ConcurrentStore, TaskOrderRulesMatchSerialEngine) {
     serial = task_order_sequence(env.engine(), env.engine().alloc(1));
   }
   EXPECT_EQ(concurrent, serial);
+}
+
+/// Runs `scenario` on a fresh concurrent engine and on a fresh functional
+/// serial engine.
+template <typename Fn>
+void on_both_engines(Fn&& scenario) {
+  {
+    SCOPED_TRACE("concurrent engine");
+    ConcurrentVersionStore store;
+    scenario(store);
+  }
+  MachineConfig cfg;
+  cfg.num_cores = 1;
+  cfg.backend = BackendKind::kFunctional;
+  Env env(cfg);
+  SCOPED_TRACE("functional serial engine");
+  scenario(env.engine());
+}
+
+/// release(base, n) must fault kVersionedAccessToUnversionedPage with `want`.
+void expect_release_fault(VersionEngine& e, OAddr base, std::size_t n,
+                          const std::string& want) {
+  try {
+    e.release(base, n);
+    ADD_FAILURE() << "release of " << n << " slots must fault";
+  } catch (const OFault& f) {
+    EXPECT_EQ(f.kind(), FaultKind::kVersionedAccessToUnversionedPage);
+    EXPECT_NE(std::string(f.what()).find(want), std::string::npos)
+        << f.what();
+  }
+}
+
+/// No slot address lies in two of the (base, slots) ranges.
+void expect_disjoint(const std::vector<std::pair<OAddr, std::size_t>>& ranges) {
+  std::vector<OAddr> seen;
+  for (const auto& [base, n] : ranges) {
+    for (std::size_t i = 0; i < n; ++i) seen.push_back(base + 8 * i);
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+      << "two allocations share a slot";
+}
+
+// release() checks its whole range before it moves any state, on both
+// engines: a range that runs into a free slot, or past the slot table,
+// faults naming the first such slot and leaves every slot as it was, so
+// later allocations stay disjoint.
+TEST(ConcurrentStore, ReleaseChecksWholeRangeFirst) {
+  // Double release: after release(a1, 1), release(a0, 2) would free slot 1
+  // a second time, and alloc(2) and alloc(1) would both hand it out.
+  on_both_engines([](VersionEngine& e) {
+    const OAddr a0 = e.alloc(1);
+    const OAddr a1 = e.alloc(1);
+    e.store_version(a0, 1, 10);
+    e.release(a1, 1);
+    expect_release_fault(e, a0, 2, "slot 1 is not allocated");
+    ASSERT_TRUE(e.is_versioned_addr(a0));
+    EXPECT_FALSE(e.is_versioned_addr(a1));
+    EXPECT_EQ(e.peek_version(a0, 1), std::optional<std::uint64_t>(10));
+    const OAddr pair = e.alloc(2);
+    const OAddr single = e.alloc(1);
+    expect_disjoint({{a0, 1}, {pair, 2}, {single, 1}});
+  });
+  // Past the table: on a one-slot table, release(a, 3) names slot 1.
+  on_both_engines([](VersionEngine& e) {
+    const OAddr a = e.alloc(1);
+    e.store_version(a, 1, 10);
+    expect_release_fault(e, a, 3, "slot 1 is not allocated");
+    ASSERT_TRUE(e.is_versioned_addr(a));
+    EXPECT_EQ(e.peek_version(a, 1), std::optional<std::uint64_t>(10));
+    expect_disjoint({{a, 1}, {e.alloc(1), 1}});
+  });
 }
 
 /// What one op did: "ok", or the name of the FaultKind it raised.

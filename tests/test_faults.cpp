@@ -34,7 +34,8 @@ void expect_fault(Machine& m, const char* needle) {
 
 TEST(Faults, VersionedOpOnMisalignedAddress) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] { o.load_version(a + 3, 1); });
   expect_fault(m, "versioned access to unversioned page");
@@ -42,14 +43,16 @@ TEST(Faults, VersionedOpOnMisalignedAddress) {
 
 TEST(Faults, VersionedOpBelowRegion) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] { o.store_version(0x1000, 1, 1); });
   expect_fault(m, "versioned access to unversioned page");
 }
 
 TEST(Faults, VersionedOpOnReleasedSlot) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   o.release(a);
   m.spawn(0, [&] { o.store_version(a, 1, 1); });
@@ -60,7 +63,8 @@ TEST(Faults, ReleasedSlotWakesParkedWaitersIntoFault) {
   // A core parked on a versioned load when the slot is released must not
   // deadlock silently: it is woken and faults with a clear message.
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] { o.load_version(a, 1); });  // parks: version never stored
   m.spawn(1, [&] {
@@ -79,7 +83,8 @@ TEST(Faults, TaskRuntimeRejectsOutOfOrderCreationBelowWindow) {
 
 TEST(Faults, TaskEndWithoutBeginFaultsThroughManager) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] { o.task_end(7); });
   expect_fault(m, "task ordering rule violation");
 }
@@ -88,7 +93,8 @@ TEST(Faults, LockingSameVersionTwiceBySameTaskStalls) {
   // Even the lock holder cannot re-lock: the attempt deadlocks (reported),
   // matching "an attempt to lock an already locked version will stall".
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.store_version(a, 1, 1);
@@ -100,7 +106,8 @@ TEST(Faults, LockingSameVersionTwiceBySameTaskStalls) {
 
 TEST(Faults, ZeroSlotAllocRejected) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   EXPECT_THROW(o.alloc(0), OFault);
 }
 
@@ -108,7 +115,8 @@ TEST(EdgeCases, HugeVersionNumbersWork) {
   // Versions beyond the 32-bit compressible range still function; they just
   // never compress (range overflow accounting, full lookups).
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   const Ver big1 = (Ver{1} << 40) + 5;
   const Ver big2 = (Ver{1} << 40) + 9;
@@ -127,7 +135,8 @@ TEST(EdgeCases, HugeVersionNumbersWork) {
 
 TEST(EdgeCases, VersionZeroIsValid) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.store_version(a, 0, 7);
@@ -139,7 +148,8 @@ TEST(EdgeCases, VersionZeroIsValid) {
 
 TEST(EdgeCases, ManyVersionsOnOneSlot) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     for (Ver v = 1; v <= 2000; ++v) o.store_version(a, v, v * 3);
@@ -156,7 +166,8 @@ TEST(EdgeCases, InterleavedSlotsShareCacheLinesSafely) {
   // Adjacent slots belong to different versioned objects; operations on one
   // must never disturb the other's versions.
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr base = o.alloc(16);
   m.spawn(0, [&] {
     for (int s = 0; s < 16; ++s) {
@@ -175,7 +186,8 @@ TEST(EdgeCases, InterleavedSlotsShareCacheLinesSafely) {
 
 TEST(EdgeCases, ReleaseWholeGroupFreesEveryVersion) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr base = o.alloc(4);
   m.spawn(0, [&] {
     for (int s = 0; s < 4; ++s) {
@@ -183,9 +195,9 @@ TEST(EdgeCases, ReleaseWholeGroupFreesEveryVersion) {
     }
   });
   m.run();
-  const std::size_t free_before = o.free_blocks();
+  const std::size_t free_before = o.pool().free_count();
   o.release(base, 4);
-  EXPECT_EQ(o.free_blocks(), free_before + 20);
+  EXPECT_EQ(o.pool().free_count(), free_before + 20);
 }
 
 TEST(EdgeCases, EnvProtectionCatchesVersionedPointerMisuse) {

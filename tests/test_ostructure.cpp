@@ -24,18 +24,18 @@ MachineConfig cfg(int cores) {
   return c;
 }
 
-/// Run `body(manager)` on core 0 of a fresh machine and return elapsed time.
+/// Run `body(store)` on core 0 of a fresh machine and return elapsed time.
 template <typename Fn>
 Cycles run1(Fn&& body, MachineConfig c = cfg(1)) {
   Machine m(c);
   OStructureManager osm(m);
-  m.spawn(0, [&] { body(osm); });
+  m.spawn(0, [&] { body(osm.store()); });
   m.run();
   return m.elapsed();
 }
 
 TEST(OStructure, StoreThenLoadVersion) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 42);
     EXPECT_EQ(o.load_version(a, 1), 42u);
@@ -43,7 +43,7 @@ TEST(OStructure, StoreThenLoadVersion) {
 }
 
 TEST(OStructure, MultipleVersionsAllLoadable) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     for (Ver v = 1; v <= 5; ++v) o.store_version(a, v, v * 100);
     // "All created versions are available simultaneously for loading."
@@ -53,7 +53,7 @@ TEST(OStructure, MultipleVersionsAllLoadable) {
 }
 
 TEST(OStructure, LoadLatestRoundsDown) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 2, 20);
     o.store_version(a, 5, 50);
@@ -70,7 +70,7 @@ TEST(OStructure, LoadLatestRoundsDown) {
 
 TEST(OStructure, OutOfOrderVersionCreation) {
   // "Version 2 may be stored to and loaded from before version 1."
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 2, 22);
     EXPECT_EQ(o.load_version(a, 2), 22u);
@@ -83,7 +83,8 @@ TEST(OStructure, OutOfOrderVersionCreation) {
 
 TEST(OStructure, LoadOfUncreatedVersionBlocksUntilStore) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   std::uint64_t got = 0;
   Cycles load_done = 0;
@@ -103,7 +104,8 @@ TEST(OStructure, LoadOfUncreatedVersionBlocksUntilStore) {
 
 TEST(OStructure, LoadLatestBlocksWhenNothingBelowCap) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   std::uint64_t got = 0;
   m.spawn(0, [&] {
@@ -120,7 +122,8 @@ TEST(OStructure, LoadLatestBlocksWhenNothingBelowCap) {
 
 TEST(OStructure, DoubleStoreFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 10);
@@ -137,7 +140,8 @@ TEST(OStructure, DoubleStoreFaults) {
 
 TEST(OStructure, LockLoadVersionExcludesSecondLocker) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   Cycles locker2_done = 0;
   m.spawn(0, [&] {
@@ -158,7 +162,7 @@ TEST(OStructure, LockLoadVersionExcludesSecondLocker) {
 }
 
 TEST(OStructure, LoadVersionIgnoresLocksOnOtherVersions) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 10);
     o.store_version(a, 2, 20);
@@ -171,7 +175,8 @@ TEST(OStructure, LoadVersionIgnoresLocksOnOtherVersions) {
 
 TEST(OStructure, LoadVersionOfLockedVersionBlocks) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   Cycles read_done = 0;
   m.spawn(0, [&] {
@@ -191,7 +196,8 @@ TEST(OStructure, LoadVersionOfLockedVersionBlocks) {
 
 TEST(OStructure, LoadLatestBlocksOnLockedCandidate) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   Ver got_ver = 0;
   m.spawn(0, [&] {
@@ -211,7 +217,7 @@ TEST(OStructure, LoadLatestBlocksOnLockedCandidate) {
 }
 
 TEST(OStructure, UnlockRenameCopiesValueAndUnlocksBoth) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 123);
     EXPECT_EQ(o.lock_load_version(a, 1, 9), 123u);
@@ -224,7 +230,7 @@ TEST(OStructure, UnlockRenameCopiesValueAndUnlocksBoth) {
 }
 
 TEST(OStructure, LockLoadLatestLocksWhatItRead) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 2, 20);
     o.store_version(a, 7, 70);
@@ -239,7 +245,8 @@ TEST(OStructure, LockLoadLatestLocksWhatItRead) {
 
 TEST(OStructure, UnlockByNonOwnerFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 1);
@@ -251,7 +258,8 @@ TEST(OStructure, UnlockByNonOwnerFaults) {
 
 TEST(OStructure, UnlockOfUnlockedVersionFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 1);
@@ -262,7 +270,8 @@ TEST(OStructure, UnlockOfUnlockedVersionFaults) {
 
 TEST(OStructure, RenameOntoExistingVersionFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 1);
@@ -280,14 +289,16 @@ TEST(OStructure, RenameOntoExistingVersionFaults) {
 
 TEST(OStructure, VersionedAccessToUnversionedAddressFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] { o.load_version(0x1234, 1); });
   EXPECT_THROW(m.run(), SimError);
 }
 
 TEST(OStructure, ConventionalAccessToVersionedPageFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   EXPECT_THROW(o.check_conventional(a), OFault);
   o.check_conventional(0x1234);  // conventional address: fine
@@ -295,7 +306,8 @@ TEST(OStructure, ConventionalAccessToVersionedPageFaults) {
 
 TEST(OStructure, ReleaseConvertsBackToConventional) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc(4);
   m.spawn(0, [&] {
     o.store_version(a, 1, 10);
@@ -313,7 +325,8 @@ TEST(OStructure, ReleaseConvertsBackToConventional) {
 
 TEST(OStructure, RepeatedLoadsHitCompressedLine) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     // Compression engages once a slot holds more than one version (a
@@ -333,7 +346,8 @@ TEST(OStructure, SingleVersionSlotStaysUncompressed) {
   // A slot with one version relies on the plain block line in L1 — the
   // repeat loads are L1 hits on it, not compressed-line direct accesses.
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.store_version(a, 1, 10);
@@ -351,7 +365,8 @@ TEST(OStructure, SingleVersionSlotStaysUncompressed) {
 
 TEST(OStructure, LoadLatestDirectHitsViaAdjacency) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     for (Ver v = 1; v <= 3; ++v) o.store_version(a, v, v);
@@ -365,7 +380,8 @@ TEST(OStructure, LoadLatestDirectHitsViaAdjacency) {
 
 TEST(OStructure, RemoteStoreDiscardsCompressedLine) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.store_version(a, 1, 10);
@@ -386,7 +402,8 @@ TEST(OStructure, WalkChargesScaleWithListLength) {
   // Loading an old version from a long list walks many blocks; stats and
   // elapsed time must reflect it.
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     for (Ver v = 1; v <= 64; ++v) o.store_version(a, v, v);
@@ -401,7 +418,8 @@ TEST(OStructure, GcReclaimsShadowedVersionsEndToEnd) {
   c.ostruct.initial_pool_blocks = 64;
   c.ostruct.gc_watermark = 32;
   Machine m(c);
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     // Tasks 1..100 each store a new version; shadowed versions pile up and
@@ -425,7 +443,8 @@ TEST(OStructure, ExhaustionWithoutGcTrapsToOs) {
   c.ostruct.gc_watermark = 0;       // never trigger early
   c.ostruct.trap_grow_blocks = 16;
   Machine m(c);
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     // No task ever ends, so nothing is reclaimable: the pool must grow.
@@ -443,7 +462,8 @@ TEST(OStructure, GcDoesNotReclaimReachableVersions) {
   c.ostruct.initial_pool_blocks = 64;
   c.ostruct.gc_watermark = 60;  // collect aggressively
   Machine m(c);
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.task_begin(1);
@@ -465,7 +485,7 @@ TEST(OStructure, InjectedLatencySlowsVersionedOps) {
     MachineConfig c = cfg(1);
     c.ostruct.injected_latency = inject;
     return run1(
-        [](OStructureManager& o) {
+        [](VersionStore& o) {
           const OAddr a = o.alloc();
           o.store_version(a, 1, 1);
           for (int i = 0; i < 100; ++i) o.load_version(a, 1);
@@ -479,26 +499,54 @@ TEST(OStructure, InjectedLatencySlowsVersionedOps) {
 }
 
 TEST(OStructure, RootFlagFeedsRootStallStats) {
+  // Root-ness is a mark on the slot: it counts whichever core accesses the
+  // slot, and release() clears it.
   Machine m(cfg(2));
-  OStructureManager o(m);
-  const OAddr a = o.alloc();
-  OpFlags root;
-  root.root = true;
-  m.spawn(0, [&] {
-    o.load_version(a, 1, root);  // stalls until core 1 stores
-  });
-  m.spawn(1, [&] {
-    mach().advance(1000);
-    o.store_version(a, 1, 42);
-  });
-  m.run();
-  EXPECT_EQ(m.metrics().value(Component::kOsm, "root_loads", 0), 1u);
-  EXPECT_EQ(m.metrics().value(Component::kOsm, "root_stalls", 0), 1u);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
+  const OAddr root = o.alloc();
+  const OAddr plain = o.alloc();
+  o.mark_root(root);
+  auto count = [&](const char* name, int core) {
+    return m.metrics().value(Component::kOsm, name, core);
+  };
+  // Core 0 stalls on each slot until core 1 stores to it.
+  auto stall_then_store = [&](OAddr first, OAddr second) {
+    m.spawn(0, [&o, first, second] {
+      o.load_version(first, 1);
+      o.load_version(second, 1);
+    });
+    m.spawn(1, [&o, first, second] {
+      mach().advance(1000);
+      o.store_version(first, 1, 42);
+      mach().advance(1000);
+      o.store_version(second, 1, 7);
+    });
+    m.run();
+  };
+
+  stall_then_store(root, plain);
+  EXPECT_EQ(count("stalls", 0), 2u);
+  EXPECT_EQ(count("root_loads", 0), 1u);
+  EXPECT_EQ(count("root_stalls", 0), 1u);
+  EXPECT_EQ(count("root_loads", 1), 1u);
+  EXPECT_EQ(count("root_stalls", 1), 0u);
+
+  // Released and allocated again, the slot is no longer a root.
+  o.release(root);
+  ASSERT_EQ(o.alloc(), root);
+  const OAddr other = o.alloc();
+  stall_then_store(root, other);
+  EXPECT_EQ(count("stalls", 0), 4u);
+  EXPECT_EQ(count("root_loads", 0), 1u);
+  EXPECT_EQ(count("root_stalls", 0), 1u);
+  EXPECT_EQ(count("root_loads", 1), 1u);
 }
 
 TEST(OStructure, DeadlockOnNeverStoredVersionReported) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] { o.load_version(a, 1); });
   try {
@@ -514,7 +562,8 @@ TEST(OStructure, RepeatedLockUnlockHitsCompressedLine) {
   // compressed-line probe must still recognize the pre-lock entry, so
   // steady lock/unlock cycles on a hot multi-version slot go direct.
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.store_version(a, 1, 10);
@@ -536,7 +585,8 @@ TEST(OStructure, ConcurrentAllocationAndStoresAreSafe) {
   // reallocate the slot table under it. Hammer allocation from one core
   // while another core stores.
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr hot = o.alloc();
   m.spawn(0, [&] {
     for (Ver v = 1; v <= 300; ++v) o.store_version(hot, v, v);
@@ -563,7 +613,8 @@ class OStructureGolden : public ::testing::TestWithParam<unsigned> {};
 TEST_P(OStructureGolden, MatchesReferenceModel) {
   std::mt19937 rng(GetParam());
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   constexpr int kSlots = 8;
   const OAddr base = o.alloc(kSlots);
 

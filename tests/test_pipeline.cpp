@@ -108,10 +108,10 @@ TEST(HandOverHand, AdvanceHoldsNextBeforeReleasingPrevious) {
     EXPECT_EQ(hoh.advance(b), 20u);
     EXPECT_EQ(&hoh.held(), &b);
     // a must be unlocked again, b locked by us.
-    EXPECT_FALSE(env.osm().lock_holder(a.addr(), 1).has_value());
-    EXPECT_EQ(env.osm().lock_holder(b.addr(), 1), std::optional<TaskId>(5));
+    EXPECT_FALSE(env.store().lock_holder(a.addr(), 1).has_value());
+    EXPECT_EQ(env.store().lock_holder(b.addr(), 1), std::optional<TaskId>(5));
     hoh.release_unchanged();
-    EXPECT_FALSE(env.osm().lock_holder(b.addr(), 1).has_value());
+    EXPECT_FALSE(env.store().lock_holder(b.addr(), 1).has_value());
   });
 }
 
@@ -168,7 +168,7 @@ TEST(HandOverHand, AdoptTakesExternalLock) {
     HandOverHand<std::uint64_t> hoh(4);
     hoh.adopt(f, locked);
     hoh.release_unchanged();
-    EXPECT_FALSE(env.osm().lock_holder(f.addr(), 1).has_value());
+    EXPECT_FALSE(env.store().lock_holder(f.addr(), 1).has_value());
   });
 }
 

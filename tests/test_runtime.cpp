@@ -36,10 +36,10 @@ TEST(Env, TimedLoadStoreRoundTrip) {
 
 TEST(Env, ConventionalAccessToVersionedSlotFaults) {
   Env env(cfg(1));
-  const OAddr a = env.osm().alloc();
+  const OAddr a = env.store().alloc();
   env.spawn(0, [&] {
     // Simulates a plain LOAD aimed at a versioned page.
-    env.osm().check_conventional(a);
+    env.store().check_conventional(a);
   });
   EXPECT_THROW(env.run(), SimError);
 }
@@ -49,7 +49,7 @@ TEST(Env, ConventionalAccessToVersionedSlotFaults) {
 // initial_pool_blocks.
 TEST(Env, TimedPoolCarvesOnlyWhatItHandsOut) {
   Env env(cfg(32));
-  const BlockPool& pool = env.osm().pool();
+  const BlockPool& pool = env.store().pool();
   const std::size_t batch = env.config().ostruct.initial_pool_blocks;
   EXPECT_EQ(batch, std::size_t{1} << 20);
   EXPECT_EQ(pool.carved(), 0u);
@@ -116,7 +116,7 @@ TEST(Versioned, FreeReturnsSlot) {
   versioned<int> v(env);
   const OAddr a = v.addr();
   v.free();
-  EXPECT_FALSE(env.osm().is_versioned_addr(a));
+  EXPECT_FALSE(env.store().is_versioned_addr(a));
 }
 
 TEST(TaskRuntime, TasksRunInIdOrderPerWorker) {
@@ -174,7 +174,7 @@ TEST(TaskRuntime, GcSeesTaskWindow) {
   rt.run();
   // Each store shadows the last.
   EXPECT_EQ(env.metrics().total(Component::kGc, "shadowed_blocks"), 7u);
-  EXPECT_EQ(env.osm().gc().unfinished_tasks(), 0u);
+  EXPECT_EQ(env.store().gc().unfinished_tasks(), 0u);
 }
 
 TEST(SimRWLock, WriterExcludesReaders) {

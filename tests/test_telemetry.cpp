@@ -290,7 +290,8 @@ TEST(LifecycleEvents, MatchRegistryCounters) {
   MachineConfig c;
   c.num_cores = 1;
   Machine m(c);
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   RingSink all(1 << 14, kAllEvents);
   o.tracer().attach(&all);
 

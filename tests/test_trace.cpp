@@ -17,7 +17,8 @@ TEST(OpTrace, DisabledByDefault) {
   MachineConfig c;
   c.num_cores = 1;
   Machine m(c);
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.store_version(a, 1, 1);
@@ -30,7 +31,8 @@ TEST(OpTrace, DisabledByDefault) {
 
 TEST(OpTrace, RecordsOpsInIssueOrder) {
   Machine m(traced_cfg(64));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.task_begin(3);
@@ -62,7 +64,8 @@ TEST(OpTrace, RecordsOpsInIssueOrder) {
 
 TEST(OpTrace, RingKeepsOnlyNewest) {
   Machine m(traced_cfg(4));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     for (Ver v = 1; v <= 10; ++v) o.store_version(a, v, v);
@@ -81,7 +84,8 @@ TEST(OpTrace, StalledOpRecordedOnceAtIssue) {
   MachineConfig c = traced_cfg(16);
   c.num_cores = 2;
   Machine m(c);
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] { o.load_version(a, 1); });  // stalls, then retries
   m.spawn(1, [&] {
@@ -115,7 +119,8 @@ TEST(OpTrace, ConfigRingSeesOnlyIsaOpsExtraSinkSeesLifecycle) {
   // The config-enabled ring keeps the classic ISA-op trace; a full-mask
   // sink attached to the same tracer additionally sees lifecycle events.
   Machine m(traced_cfg(64));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   telemetry::RingSink all(64, telemetry::kAllEvents);
   o.tracer().attach(&all);
   const OAddr a = o.alloc();

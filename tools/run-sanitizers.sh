@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Sanitizer CI gate: build and run the unit suite under ASan+UBSan, then
+# Sanitizer CI gate: build and run the unit suite under ASan+UBSan (with
+# libstdc++ assertions, so unchecked container indexing aborts), then
 # the host-threading tests under TSan. Any sanitizer report fails the
 # script (halt_on_error aborts the offending test, which fails ctest).
 #
